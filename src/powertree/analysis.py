@@ -10,6 +10,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import sqrt
 
+from .graph import UnionFind
 from .trees import CostedTree, TreeError, validate_full_component
 
 
@@ -359,20 +360,12 @@ class WitnessStructure:
             raise AnalysisError(
                 f"witness tree has {len(self.witness_edges)} edges for {len(terms)} terminals"
             )
-        parent = {t: t for t in terms}
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
+        dense = {t: i for i, t in enumerate(terms)}
+        uf = UnionFind(len(terms))
         for a, b in self.witness_edges:
-            ra, rb = find(a), find(b)
-            if ra == rb:
+            if not uf.union(dense[a], dense[b]):
                 raise AnalysisError("witness tree contains a cycle")
-            parent[ra] = rb
-        if len({find(t) for t in terms}) != 1:
+        if not uf.joins(range(len(terms))):
             raise AnalysisError("witness tree is disconnected")
         for orig in range(len(self.sbin.source.edges)):
             if not self.witness_set(orig):

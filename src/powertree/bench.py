@@ -23,17 +23,16 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
-import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .analysis import theoretical_factor
-from .exact import baseline_min_cost, exact_min_power
+from .exact import SolverError, baseline_min_cost, exact_min_power
 from .generators import generate
-from .instance import Instance, format_cost, parse_instance
-from .irr import irr_solve
+from .instance import Instance, PowerTree, format_cost, parse_instance
+from .irr import RunTrace, irr_solve
 
 CSV_HEADER = [
     "schema", "row_type", "instance", "solver", "seed", "power", "cost",
@@ -56,7 +55,7 @@ class SuiteConfig:
     k: int = 3
     mode: str = "steiner"
     max_iters: int | None = None
-    threads: int | None = None
+    threads: int = 4
     instances: list[tuple[str, str]] = field(default_factory=list)  # (label, spec)
     solvers: list[str] = field(default_factory=list)
 
@@ -91,6 +90,8 @@ def parse_config(text: str) -> SuiteConfig:
                 cfg.max_iters = int(value)
             elif key == "threads":
                 cfg.threads = int(value)
+                if cfg.threads < 1:
+                    raise BenchError(f"line {lineno}: threads must be >= 1")
             else:
                 raise BenchError(f"line {lineno}: unknown key {key!r}")
         else:
@@ -123,12 +124,14 @@ def _load_instance(spec: str, mode: str) -> Instance:
         inst = generate(kind, **kwargs)
     else:
         raise BenchError(f"instance spec must start with file: or gen:, got {spec!r}")
-    if mode == "spanning":
-        inst = Instance(
-            inst.node_count, inst.edges,
-            frozenset(range(inst.node_count)), inst.root,
-        )
-    return inst
+    return with_mode(inst, mode)
+
+
+def with_mode(instance: Instance, mode: str) -> Instance:
+    """The instance itself in steiner mode; every node a terminal in spanning mode."""
+    if mode != "spanning":
+        return instance
+    return Instance(instance.node_count, instance.edges, frozenset(range(instance.node_count)), instance.root)
 
 
 def derive_seed(master: int, row_index: int) -> int:
@@ -136,20 +139,20 @@ def derive_seed(master: int, row_index: int) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def _run_row(instance: Instance, solver: str, seed: int, cfg: SuiteConfig):
-    """Returns (power, cost, iterations) as exact values; raises on failure."""
+def run_solver(
+    instance: Instance, solver: str, mode: str, k: int, seed: int, max_iters: int | None,
+) -> tuple[PowerTree, RunTrace | None]:
+    """Solve with one of KNOWN_SOLVERS; only irr (which uses k, seed and
+    max_iters) returns a trace. The solvers are module globals looked up per
+    call, so wrappers installed on this module see every call."""
     if solver == "exact":
-        tree = exact_min_power(instance, cfg.mode)
-        return tree.total_power, tree.total_cost, ""
+        return exact_min_power(instance, mode), None
     if solver == "mst":
-        tree = baseline_min_cost(instance, "spanning")
-        return tree.total_power, tree.total_cost, ""
+        return baseline_min_cost(instance, "spanning"), None
     if solver == "steiner-cost":
-        tree = baseline_min_cost(instance, "steiner", allow_fallback=True)
-        return tree.total_power, tree.total_cost, ""
+        return baseline_min_cost(instance, "steiner", allow_fallback=True), None
     if solver == "irr":
-        tree, trace = irr_solve(instance, cfg.k, seed, cfg.max_iters)
-        return tree.total_power, tree.total_cost, trace.iterations
+        return irr_solve(instance, k, seed, max_iters)
     raise BenchError(f"unknown solver {solver!r}")
 
 
@@ -170,13 +173,8 @@ def run_bench(cfg: SuiteConfig) -> str:
         for label, inst in instances:
             try:
                 exact_power[label] = exact_min_power(inst, cfg.mode).total_power
-            except Exception:
-                pass
-
-    threads = cfg.threads or 4
-    env_cap = os.environ.get("POWERTREE_THREADS")
-    if env_cap:
-        threads = min(threads, max(1, int(env_cap)))
+            except SolverError:
+                pass  # past the node guard or disconnected: no ratios; the exact rows record why
 
     def work(row: dict) -> dict:
         out = {
@@ -188,10 +186,11 @@ def run_bench(cfg: SuiteConfig) -> str:
         }
         start = time.perf_counter()
         try:
-            power, cost, iters = _run_row(row["inst_obj"], row["solver"], row["seed"], cfg)
+            tree, trace = run_solver(row["inst_obj"], row["solver"], cfg.mode, cfg.k, row["seed"], cfg.max_iters)
+            power = tree.total_power
             out["power"] = format_cost(power)
-            out["cost"] = format_cost(cost)
-            out["iterations"] = str(iters)
+            out["cost"] = format_cost(tree.total_cost)
+            out["iterations"] = str(trace.iterations) if trace else ""
             ref = exact_power.get(row["instance"])
             if ref is not None and ref > 0:
                 out["ratio_to_exact"] = f"{float(power / ref):.6f}"
@@ -202,8 +201,8 @@ def run_bench(cfg: SuiteConfig) -> str:
         out["wall_time_s"] = f"{time.perf_counter() - start:.4f}"
         return out
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+    if cfg.threads > 1:
+        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
             results = list(pool.map(work, rows))
     else:
         results = [work(r) for r in rows]

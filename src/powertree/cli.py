@@ -12,10 +12,8 @@ from fractions import Fraction
 
 from . import analysis, bench, decomposition
 from .components import enumerate_columns, min_power_component
-from .exact import baseline_min_cost, exact_min_power
 from .generators import GENERATOR_KINDS, generate
 from .instance import Instance, format_cost, parse_instance, serialize
-from .irr import irr_solve
 from .lp import solve_lp
 from .pathpower import min_power_path
 from .trees import CostedTree, prune_nonterminal_leaves
@@ -26,11 +24,8 @@ def _read(path: str) -> str:
         return fh.read()
 
 
-def _load_instance(path: str, spanning: bool = False) -> Instance:
-    inst = parse_instance(_read(path))
-    if spanning:
-        inst = Instance(inst.node_count, inst.edges, frozenset(range(inst.node_count)), inst.root)
-    return inst
+def _load_instance(path: str, mode: str = "steiner") -> Instance:
+    return bench.with_mode(parse_instance(_read(path)), mode)
 
 
 def _load_tree(instance: Instance, path: str) -> CostedTree:
@@ -47,27 +42,20 @@ def _emit(record: dict) -> None:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    instance = _load_instance(args.instance, args.spanning)
     mode = "spanning" if args.spanning else "steiner"
-    if args.algo == "exact":
-        tree = exact_min_power(instance, mode)
-        _emit(tree.to_record(solver="exact"))
-    elif args.algo == "mst":
-        tree = baseline_min_cost(instance, "spanning")
-        _emit(tree.to_record(solver="mst"))
-    elif args.algo == "steiner-cost":
-        tree = baseline_min_cost(instance, "steiner", allow_fallback=True)
-        _emit(tree.to_record(solver="steiner-cost"))
-    else:  # irr
-        tree, trace = irr_solve(instance, args.k, args.seed, args.max_iters)
-        if args.trace:
-            with open(args.trace, "w", encoding="utf-8") as fh:
-                for rec in trace.records:
-                    fh.write(json.dumps(rec.to_record(), sort_keys=True) + "\n")
-        record = tree.to_record(solver="irr", seed=args.seed)
-        record["iterations"] = trace.iterations
-        record["sampled_power_total"] = format_cost(trace.sampled_power_total())
-        _emit(record)
+    instance = _load_instance(args.instance, mode)
+    tree, trace = bench.run_solver(instance, args.algo, mode, args.k, args.seed, args.max_iters)
+    if trace is None:
+        _emit(tree.to_record(solver=args.algo))
+        return 0
+    if args.trace:
+        with open(args.trace, "w", encoding="utf-8") as fh:
+            for rec in trace.records:
+                fh.write(json.dumps(rec.to_record(), sort_keys=True) + "\n")
+    record = tree.to_record(solver="irr", seed=args.seed)
+    record["iterations"] = trace.iterations
+    record["sampled_power_total"] = format_cost(trace.sampled_power_total())
+    _emit(record)
     return 0
 
 
@@ -220,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="solve an instance")
     p.add_argument("instance")
-    p.add_argument("--algo", choices=("exact", "mst", "steiner-cost", "irr"), required=True)
+    p.add_argument("--algo", choices=bench.KNOWN_SOLVERS, required=True)
     p.add_argument("--spanning", action="store_true", help="treat every node as a terminal")
     p.add_argument("--k", type=int, default=3, help="component size cap for irr")
     p.add_argument("--seed", type=int, default=0)

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil
 
+from .graph import connects
 from .trees import CostedTree, TreeError, validate_full_component
 
 EdgeT = tuple[int, int, Fraction]
@@ -359,21 +360,10 @@ def component_graph(decomposition: Decomposition) -> ComponentGraph:
             edges.append((i, t))
             terminals.add(t)
     n_nodes = len(decomposition.parts) + len(terminals)
-    # connectivity over the bipartite graph
-    adj: dict[tuple[str, int], list[tuple[str, int]]] = {}
-    for i, t in edges:
-        adj.setdefault(("part", i), []).append(("term", t))
-        adj.setdefault(("term", t), []).append(("part", i))
-    is_tree = False
-    if adj:
-        start = next(iter(adj))
-        seen = {start}
-        stack = [start]
-        while stack:
-            node = stack.pop()
-            for other in adj[node]:
-                if other not in seen:
-                    seen.add(other)
-                    stack.append(other)
-        is_tree = len(seen) == n_nodes and len(edges) == n_nodes - 1
+    # parts are nodes 0..P-1 of the bipartite graph, terminals follow
+    index = {t: len(decomposition.parts) + j for j, t in enumerate(sorted(terminals))}
+    is_tree = (
+        bool(edges) and len(edges) == n_nodes - 1
+        and connects(n_nodes, ((i, index[t]) for i, t in edges), range(n_nodes))
+    )
     return ComponentGraph(len(decomposition.parts), tuple(sorted(terminals)), tuple(edges), is_tree)

@@ -11,27 +11,15 @@ from __future__ import annotations
 
 import heapq
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, compress
+from operator import not_
 
+from .graph import UnionFind, connects, strip_leaves
 from .instance import Instance, PowerTree, evaluate
 
 
 class SolverError(ValueError):
     """Raised on guard violations or infeasible solver inputs."""
-
-
-def _require_connected(instance: Instance, required: frozenset[int]) -> None:
-    seen = {next(iter(required))}
-    stack = list(seen)
-    while stack:
-        node = stack.pop()
-        for eid in instance.adjacency[node]:
-            other = instance.other_end(eid, node)
-            if other not in seen:
-                seen.add(other)
-                stack.append(other)
-    if not required <= seen:
-        raise SolverError("required nodes are disconnected")
 
 
 def exact_min_power(instance: Instance, mode: str = "steiner", node_guard: int = 12) -> PowerTree:
@@ -48,7 +36,8 @@ def exact_min_power(instance: Instance, mode: str = "steiner", node_guard: int =
     if instance.node_count > node_guard:
         raise SolverError(f"node count {instance.node_count} exceeds guard {node_guard}")
     required = frozenset(range(instance.node_count)) if mode == "spanning" else instance.terminals
-    _require_connected(instance, required)
+    if not connects(instance.node_count, instance.edges, required):
+        raise SolverError("required nodes are disconnected")
     if len(required) == 1 and mode == "steiner":
         return evaluate(instance, [])
 
@@ -88,21 +77,7 @@ def exact_min_power(instance: Instance, mode: str = "steiner", node_guard: int =
         return power + extra
 
     def feasible() -> bool:
-        parent = list(range(instance.node_count))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for eid in range(m):
-            if banned[eid]:
-                continue
-            u, v, _ = edges[eid]
-            parent[find(u)] = find(v)
-        r0 = find(root)
-        return all(find(t) == r0 for t in required)
+        return connects(instance.node_count, compress(edges, map(not_, banned)), required)
 
     order = sorted(range(m), key=lambda e: (edges[e][2], e))
     selected: list[int] = []
@@ -202,42 +177,18 @@ def _walk_path(instance: Instance, pred_edge: list[int | None], source: int, tar
     return out
 
 
-def _kruskal(instance: Instance, edge_ids: list[int], nodes: set[int]) -> list[int]:
-    parent = {v: v for v in nodes}
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    chosen = []
-    for eid in sorted(edge_ids, key=lambda e: (instance.cost(e), e)):
-        u, v, _ = instance.edges[eid]
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-            chosen.append(eid)
-    return chosen
+def _kruskal(instance: Instance, edge_ids) -> list[int]:
+    """Minimum spanning forest of the given edges (ties by edge id)."""
+    uf = UnionFind(instance.node_count)
+    return [
+        eid for eid in sorted(edge_ids, key=lambda e: (instance.cost(e), e))
+        if uf.union(instance.edges[eid][0], instance.edges[eid][1])
+    ]
 
 
-def _prune_to_terminals(instance: Instance, edge_ids: list[int], required: frozenset[int]) -> list[int]:
-    edge_set = set(edge_ids)
-    while True:
-        deg: dict[int, int] = {}
-        for eid in edge_set:
-            u, v, _ = instance.edges[eid]
-            deg[u] = deg.get(u, 0) + 1
-            deg[v] = deg.get(v, 0) + 1
-        removable = None
-        for eid in sorted(edge_set):
-            u, v, _ = instance.edges[eid]
-            if (deg[u] == 1 and u not in required) or (deg[v] == 1 and v not in required):
-                removable = eid
-                break
-        if removable is None:
-            return sorted(edge_set)
-        edge_set.remove(removable)
+def _terminal_tree(instance: Instance, edge_ids) -> list[int]:
+    """Cheapest spanning forest of a connecting edge set, stripped to the terminals."""
+    return strip_leaves(instance.edges, _kruskal(instance, edge_ids), instance.terminals)
 
 
 def _dreyfus_wagner(instance: Instance) -> list[int]:
@@ -317,13 +268,7 @@ def _dreyfus_wagner(instance: Instance) -> list[int]:
             reconstruct(mask, u)
 
     reconstruct(full, target)
-    nodes = set()
-    for eid in edges:
-        u, v, _ = instance.edges[eid]
-        nodes.update((u, v))
-    nodes.update(instance.terminals)
-    tree = _kruskal(instance, sorted(edges), nodes)
-    return _prune_to_terminals(instance, tree, instance.terminals)
+    return _terminal_tree(instance, edges)
 
 
 def _metric_closure_steiner(instance: Instance) -> list[int]:
@@ -344,25 +289,12 @@ def _metric_closure_steiner(instance: Instance) -> list[int]:
             raise SolverError("terminals are disconnected")
         pairs.append((dists[a][b], a, b))
     pairs.sort(key=lambda x: (x[0], x[1], x[2]))
-    parent = {t: t for t in terms}
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    uf = UnionFind(instance.node_count)
     union_edges: set[int] = set()
     for _, a, b in pairs:
-        if find(a) != find(b):
-            parent[find(a)] = find(b)
+        if uf.union(a, b):
             union_edges.update(_walk_path(instance, preds[a], a, b))
-    nodes = set(instance.terminals)
-    for eid in union_edges:
-        u, v, _ = instance.edges[eid]
-        nodes.update((u, v))
-    tree = _kruskal(instance, sorted(union_edges), nodes)
-    return _prune_to_terminals(instance, tree, instance.terminals)
+    return _terminal_tree(instance, union_edges)
 
 
 def baseline_min_cost(instance: Instance, mode: str = "steiner", allow_fallback: bool = False) -> PowerTree:
@@ -372,10 +304,9 @@ def baseline_min_cost(instance: Instance, mode: str = "steiner", allow_fallback:
     2-approximation for min-power via c(S) <= p(S) <= 2c(S).
     """
     if mode == "spanning":
-        _require_connected(instance, frozenset(range(instance.node_count)))
-        chosen = _kruskal(instance, list(range(len(instance.edges))), set(range(instance.node_count)))
+        chosen = _kruskal(instance, range(len(instance.edges)))
         if len(chosen) != instance.node_count - 1:
-            raise SolverError("graph is disconnected")
+            raise SolverError("required nodes are disconnected")
         return evaluate(instance, chosen)
     if mode != "steiner":
         raise SolverError(f"unknown mode {mode!r}")

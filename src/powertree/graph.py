@@ -1,0 +1,88 @@
+"""Graph primitives shared by the solvers: union-find, connectivity, leaf stripping.
+
+Edges are tuples whose first two entries are the endpoints, such as an
+instance's (u, v, cost) triples. Node ids index a list, so they must be
+small non-negative integers; callers with sparse ids size or relabel.
+"""
+
+from __future__ import annotations
+
+from typing import Collection, Iterable, Sequence
+
+
+class UnionFind:
+    """Disjoint sets over the node ids 0..size-1, with path halving."""
+
+    __slots__ = ("parent",)
+
+    def __init__(self, size: int) -> None:
+        self.parent = list(range(size))
+
+    def find(self, x: int) -> int:
+        parent = self.parent
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    def union(self, a: int, b: int) -> bool:
+        """Join the sets of a and b; False if they were one set already."""
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        self.parent[ra] = rb
+        return True
+
+    def joins(self, nodes: Iterable[int]) -> bool:
+        """True iff all of `nodes` lie in one set (vacuously for none)."""
+        it = iter(nodes)
+        first = next(it, None)
+        if first is None:
+            return True
+        root = self.find(first)
+        return all(self.find(x) == root for x in it)
+
+
+def connects(size: int, edges: Iterable[Sequence[int]], required: Iterable[int]) -> bool:
+    """True iff `edges` put every node of `required` into one component."""
+    uf = UnionFind(size)
+    parent = uf.parent
+    # union with find inlined: every Instance and every branch of the exact
+    # solver runs this test, and calling find per endpoint made it ~1.4x slower
+    for e in edges:
+        a, b = e[0], e[1]
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        parent[a] = b
+    return uf.joins(required)
+
+
+def strip_leaves(edges: Sequence[Sequence[int]], edge_ids: Iterable[int], keep: Collection[int]) -> list[int]:
+    """Sorted ids left of `edge_ids` after repeatedly deleting the edge at a
+    degree-1 node outside `keep`.
+
+    The result is the unique largest subgraph whose leaves all lie in
+    `keep`, so the order of deletions does not matter.
+    """
+    incident: dict[int, list[int]] = {}
+    alive = set(edge_ids)
+    for eid in alive:
+        e = edges[eid]
+        incident.setdefault(e[0], []).append(eid)
+        incident.setdefault(e[1], []).append(eid)
+    degree = {node: len(ids) for node, ids in incident.items()}
+    queue = [node for node, d in degree.items() if d == 1 and node not in keep]
+    while queue:
+        node = queue.pop()
+        if degree[node] != 1:
+            continue  # its last edge went with the leaf at the other end
+        eid = next(e for e in incident[node] if e in alive)
+        alive.remove(eid)
+        u, v = edges[eid][0], edges[eid][1]
+        other = v if u == node else u
+        degree[node] = 0
+        degree[other] -= 1
+        if degree[other] == 1 and other not in keep:
+            queue.append(other)
+    return sorted(alive)

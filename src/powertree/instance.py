@@ -11,6 +11,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
+from .graph import UnionFind, connects
+
 
 class InstanceError(ValueError):
     """Raised for malformed instance files or invalid instance data."""
@@ -92,22 +94,8 @@ class Instance:
             adj[u].append(idx)
             adj[v].append(idx)
         object.__setattr__(self, "adjacency", tuple(tuple(a) for a in adj))
-        if not self._terminals_connected():
+        if not connects(self.node_count, self.edges, self.terminals):
             raise InstanceError("terminals are disconnected")
-
-    def _terminals_connected(self) -> bool:
-        start = self.root
-        seen = {start}
-        stack = [start]
-        while stack:
-            node = stack.pop()
-            for eid in self.adjacency[node]:
-                u, v, _ = self.edges[eid]
-                other = v if u == node else u
-                if other not in seen:
-                    seen.add(other)
-                    stack.append(other)
-        return self.terminals <= seen
 
     def other_end(self, eid: int, node: int) -> int:
         u, v, _ = self.edges[eid]
@@ -166,31 +154,21 @@ def evaluate(instance: Instance, edge_ids: Sequence[int]) -> PowerTree:
     ids = list(edge_ids)
     if len(set(ids)) != len(ids):
         raise InstanceError("cyclic edge set (duplicate edge id)")
-    parent = list(range(instance.node_count))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    uf = UnionFind(instance.node_count)
     node_powers: dict[int, Fraction] = {}
     total_cost = Fraction(0)
     for eid in ids:
         if not (0 <= eid < len(instance.edges)):
             raise InstanceError(f"edge id {eid} out of range")
         u, v, c = instance.edges[eid]
-        ru, rv = find(u), find(v)
-        if ru == rv:
+        if not uf.union(u, v):
             raise InstanceError("cyclic edge set")
-        parent[ru] = rv
         total_cost += c
         for node in (u, v):
             cur = node_powers.get(node)
             if cur is None or c > cur:
                 node_powers[node] = c
-    roots = {find(t) for t in instance.terminals}
-    if len(roots) > 1:
+    if not uf.joins(instance.terminals):
         raise InstanceError("edge set does not span all terminals")
     if not ids and len(instance.terminals) == 1:
         node_powers = {next(iter(instance.terminals)): Fraction(0)}

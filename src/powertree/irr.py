@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .components import enumerate_columns
+from .graph import connects
 from .instance import Instance, PowerTree, evaluate, format_cost
 from .lp import solve_lp
 from .pruning import extract_tree
@@ -72,20 +73,7 @@ class RunTrace:
 def zero_power_tree_exists(instance: Instance, required: frozenset[int] | None = None) -> bool:
     """True iff the zero-cost subgraph connects all required nodes."""
     req = instance.terminals if required is None else required
-    parent = list(range(instance.node_count))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v, c in instance.edges:
-        if c == 0:
-            parent[find(u)] = find(v)
-    it = iter(req)
-    first = find(next(it))
-    return all(find(t) == first for t in it)
+    return connects(instance.node_count, (e for e in instance.edges if e[2] == 0), req)
 
 
 def prune(instance: Instance, edge_ids, required: frozenset[int] | None = None) -> PowerTree:
@@ -119,9 +107,9 @@ def irr_solve(
     trace = RunTrace(seed=seed)
     costs = [c for _, _, c in instance.edges]
     sampled_edges: set[int] = set()
+    current = instance  # rebuilt only when a sampled component zeroes costs
 
     for iteration in range(1, max_iters + 1):
-        current = instance.with_costs(costs)
         columns = enumerate_columns(current, k) if len(instance.terminals) >= 2 else []
         if columns:
             state = solve_lp(current, columns)

@@ -50,7 +50,6 @@ def lp_core_solve(
     row_supports: list[list[int]],
     n_cols: int,
     objective: list[float],
-    tol: float = DEFAULT_TOL,
 ) -> tuple[dict[int, float], float]:
     """Minimize objective over {x >= 0, sum_{j in support} x_j >= 1 per row}.
 
@@ -268,7 +267,7 @@ def solve_lp(
     history: list[float] = []
     for _ in range(max_rounds):
         supports = [row_support(columns, w) for w in rows]
-        x, value = lp_core_solve(supports, len(columns), objective, tol)
+        x, value = lp_core_solve(supports, len(columns), objective)
         history.append(value)
         cut = separate(instance, columns, x, tol)
         if cut is None:

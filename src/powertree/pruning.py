@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .graph import UnionFind, strip_leaves
 from .instance import Instance
 
 
@@ -56,51 +57,20 @@ def extract_tree(instance: Instance, edge_ids, required: frozenset[int]) -> list
     reduces power (ties by smallest edge id), then strips non-required
     leaves. The result's power never exceeds the input edge set's power.
     """
-    ids = sorted(set(edge_ids))
-    current = set(ids)
+    current = set(edge_ids)
+    # Deleting a non-bridge keeps the node set and the components, so the
+    # deletions needed for acyclicity number the unions that close a cycle.
+    uf = UnionFind(instance.node_count)
+    surplus = sum(not uf.union(u, v) for u, v, _ in (instance.edges[e] for e in current))
+    if not uf.joins(required):
+        raise ValueError("edge set does not connect the required nodes")
 
-    def adjacency() -> dict[int, list[tuple[int, int]]]:
+    for _ in range(surplus):
         adj: dict[int, list[tuple[int, int]]] = {}
         for eid in sorted(current):
             u, v, _ = instance.edges[eid]
             adj.setdefault(u, []).append((v, eid))
             adj.setdefault(v, []).append((u, eid))
-        return adj
-
-    # connectivity of the required set within the selection
-    adj = adjacency()
-    if required:
-        start = next(iter(required))
-        seen = {start}
-        stack = [start]
-        while stack:
-            node = stack.pop()
-            for other, _ in adj.get(node, ()):
-                if other not in seen:
-                    seen.add(other)
-                    stack.append(other)
-        if not required <= seen:
-            raise ValueError("edge set does not connect the required nodes")
-
-    while True:
-        adj = adjacency()
-        n_nodes = len(adj)
-        comps = 0
-        seen: set[int] = set()
-        for node in adj:
-            if node in seen:
-                continue
-            comps += 1
-            stack = [node]
-            seen.add(node)
-            while stack:
-                cur = stack.pop()
-                for other, _ in adj[cur]:
-                    if other not in seen:
-                        seen.add(other)
-                        stack.append(other)
-        if len(current) == n_nodes - comps:
-            break  # acyclic
         bridge_ids = _bridges(adj)
         node_max: dict[int, Fraction] = {}
         for eid in current:
@@ -115,29 +85,9 @@ def extract_tree(instance: Instance, edge_ids, required: frozenset[int]) -> list
             for node in (u, v):
                 if node_max[node] == c:
                     rest = [instance.edges[e][2] for _, e in adj[node] if e != eid]
-                    new_max = max(rest) if rest else Fraction(0)
-                    if not rest:
-                        delta -= node_max[node]
-                    else:
-                        delta -= node_max[node] - new_max
+                    delta -= node_max[node] - max(rest, default=Fraction(0))
             if best is None or (delta, eid) < best:
                 best = (delta, eid)
         current.remove(best[1])
 
-    # strip leaves outside the required set
-    while True:
-        deg: dict[int, int] = {}
-        for eid in current:
-            u, v, _ = instance.edges[eid]
-            deg[u] = deg.get(u, 0) + 1
-            deg[v] = deg.get(v, 0) + 1
-        drop = None
-        for eid in sorted(current):
-            u, v, _ = instance.edges[eid]
-            if (deg[u] == 1 and u not in required) or (deg[v] == 1 and v not in required):
-                drop = eid
-                break
-        if drop is None:
-            break
-        current.remove(drop)
-    return sorted(current)
+    return strip_leaves(instance.edges, current, required)

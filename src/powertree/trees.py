@@ -10,8 +10,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
+from .graph import UnionFind, strip_leaves
 from .instance import Instance, edge_set_power
 
 
@@ -27,31 +28,19 @@ class CostedTree:
 
     def __post_init__(self) -> None:
         adj: dict[int, list[tuple[int, Fraction]]] = {}
-        seen: set[int] = set()
-        parent: dict[int, int] = {}
-
-        def find(x: int) -> int:
-            while parent.setdefault(x, x) != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
+        dense: dict[int, int] = {}  # node ids are arbitrary; the union-find needs 0..n-1
+        uf = UnionFind(2 * len(self.edges))
         for u, v, c in self.edges:
             if u == v:
                 raise TreeError(f"self-loop at {u}")
-            ru, rv = find(u), find(v)
-            if ru == rv:
+            if not uf.union(dense.setdefault(u, len(dense)), dense.setdefault(v, len(dense))):
                 raise TreeError("edge set is cyclic")
-            parent[ru] = rv
             adj.setdefault(u, []).append((v, c))
             adj.setdefault(v, []).append((u, c))
-            seen.add(u)
-            seen.add(v)
         if self.edges:
-            root = find(next(iter(seen)))
-            if any(find(x) != root for x in seen):
+            if not uf.joins(dense.values()):
                 raise TreeError("edge set is disconnected")
-            missing = self.terminals - seen
+            missing = self.terminals - adj.keys()
             if missing:
                 raise TreeError(f"terminals {sorted(missing)} not in tree")
         elif len(self.terminals) > 1:
@@ -97,17 +86,8 @@ def validate_full_component(tree: CostedTree) -> None:
 
 def prune_nonterminal_leaves(tree: CostedTree) -> CostedTree:
     """Repeatedly drop leaves that are not terminals."""
-    edges = list(tree.edges)
-    while True:
-        deg: dict[int, int] = {}
-        for u, v, _ in edges:
-            deg[u] = deg.get(u, 0) + 1
-            deg[v] = deg.get(v, 0) + 1
-        drop = {v for v, d in deg.items() if d == 1 and v not in tree.terminals}
-        if not drop:
-            break
-        edges = [(u, v, c) for u, v, c in edges if u not in drop and v not in drop]
-    return CostedTree(tuple(edges), tree.terminals)
+    kept = strip_leaves(tree.edges, range(len(tree.edges)), tree.terminals)
+    return CostedTree(tuple(tree.edges[i] for i in kept), tree.terminals)
 
 
 def random_full_component(
@@ -184,6 +164,3 @@ def _degree_capped_component(
     validate_full_component(tree)
     return tree
 
-
-def subtree_edges(edges: Iterable[tuple[int, int, Fraction]]) -> frozenset[tuple[int, int, Fraction]]:
-    return frozenset((min(u, v), max(u, v), c) for u, v, c in edges)

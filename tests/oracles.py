@@ -155,3 +155,129 @@ def _solve_rational(mat: list[list[Fraction]], rhs: list[Fraction]) -> list[Frac
                 factor = a[r][col]
                 a[r] = [v - factor * w for v, w in zip(a[r], a[col])]
     return [a[r][n] for r in range(n)]
+
+
+# ---------------------------------------------------------------------------
+# reference tree extraction: the original per-step implementation, kept to
+# check the shared graph primitives that replaced it
+
+
+def _bridges_reference(adj: dict[int, list[tuple[int, int]]]) -> set[int]:
+    disc: dict[int, int] = {}
+    low: dict[int, int] = {}
+    bridges: set[int] = set()
+    clock = 0
+    for root in sorted(adj):
+        if root in disc:
+            continue
+        disc[root] = low[root] = clock
+        clock += 1
+        stack = [(root, -1, iter(adj[root]))]
+        while stack:
+            node, parent_edge, neighbors = stack[-1]
+            advanced = False
+            for other, eid in neighbors:
+                if eid == parent_edge:
+                    continue
+                if other in disc:
+                    low[node] = min(low[node], disc[other])
+                else:
+                    disc[other] = low[other] = clock
+                    clock += 1
+                    stack.append((other, eid, iter(adj[other])))
+                    advanced = True
+                    break
+            if not advanced:
+                stack.pop()
+                if stack:
+                    pnode = stack[-1][0]
+                    low[pnode] = min(low[pnode], low[node])
+                    if low[node] > disc[pnode]:
+                        bridges.add(parent_edge)
+    return bridges
+
+
+def strip_leaves_reference(instance: Instance, edge_ids, required) -> list[int]:
+    """Drop the smallest-id edge at a non-required leaf until none is left."""
+    edge_set = set(edge_ids)
+    while True:
+        deg: dict[int, int] = {}
+        for eid in edge_set:
+            u, v, _ = instance.edges[eid]
+            deg[u] = deg.get(u, 0) + 1
+            deg[v] = deg.get(v, 0) + 1
+        removable = None
+        for eid in sorted(edge_set):
+            u, v, _ = instance.edges[eid]
+            if (deg[u] == 1 and u not in required) or (deg[v] == 1 and v not in required):
+                removable = eid
+                break
+        if removable is None:
+            return sorted(edge_set)
+        edge_set.remove(removable)
+
+
+def extract_tree_reference(instance: Instance, edge_ids, required: frozenset[int]) -> list[int]:
+    """Greedy non-bridge deletion with a DFS acyclicity test before every
+    step, then leaf stripping."""
+    current = set(edge_ids)
+
+    def adjacency() -> dict[int, list[tuple[int, int]]]:
+        adj: dict[int, list[tuple[int, int]]] = {}
+        for eid in sorted(current):
+            u, v, _ = instance.edges[eid]
+            adj.setdefault(u, []).append((v, eid))
+            adj.setdefault(v, []).append((u, eid))
+        return adj
+
+    adj = adjacency()
+    if required:
+        start = next(iter(required))
+        seen = {start}
+        stack = [start]
+        while stack:
+            node = stack.pop()
+            for other, _ in adj.get(node, ()):
+                if other not in seen:
+                    seen.add(other)
+                    stack.append(other)
+        if not required <= seen:
+            raise ValueError("edge set does not connect the required nodes")
+
+    while True:
+        adj = adjacency()
+        comps = 0
+        seen = set()
+        for node in adj:
+            if node in seen:
+                continue
+            comps += 1
+            stack = [node]
+            seen.add(node)
+            while stack:
+                cur = stack.pop()
+                for other, _ in adj[cur]:
+                    if other not in seen:
+                        seen.add(other)
+                        stack.append(other)
+        if len(current) == len(adj) - comps:
+            break
+        bridge_ids = _bridges_reference(adj)
+        node_max: dict[int, Fraction] = {}
+        for eid in current:
+            u, v, c = instance.edges[eid]
+            for node in (u, v):
+                if node_max.get(node, Fraction(-1)) < c:
+                    node_max[node] = c
+        best: tuple[Fraction, int] | None = None
+        for eid in sorted(current - bridge_ids):
+            u, v, c = instance.edges[eid]
+            delta = Fraction(0)
+            for node in (u, v):
+                if node_max[node] == c:
+                    rest = [instance.edges[e][2] for _, e in adj[node] if e != eid]
+                    delta -= node_max[node] - (max(rest) if rest else Fraction(0))
+            if best is None or (delta, eid) < best:
+                best = (delta, eid)
+        current.remove(best[1])
+    return strip_leaves_reference(instance, current, required)

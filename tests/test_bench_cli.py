@@ -73,6 +73,7 @@ def test_bench_solver_error_recorded_not_fatal():
     assert "SolverError" in exact_row
     mst_row = next(l for l in rows if ",mst," in l)
     assert "SolverError" not in mst_row
+    assert mst_row.split(",")[7] == ""  # no exact optimum, so no ratio
 
 
 def test_config_errors():
@@ -80,6 +81,8 @@ def test_config_errors():
         parse_config("instance gen:uniform-random nodes=4 terminals=4 seed=1\nsolver nope\n")
     with pytest.raises(BenchError, match="no instances"):
         parse_config("solver exact\n")
+    with pytest.raises(BenchError, match="threads must be >= 1"):
+        parse_config("threads = 0\ninstance gen:uniform-random nodes=4 terminals=4 seed=1\nsolver exact\n")
 
 
 def test_derive_seed_stable():
