@@ -38,7 +38,7 @@ from .instance import (
 )
 from .irr import RunTrace, irr_solve, prune, zero_power_tree_exists
 from .lp import LpState, lp_core_solve, separate, solve_lp
-from .pathpower import PathResult, capped_min_power_path, min_power_path
+from .pathpower import PathResult, min_power_path
 from .trees import CostedTree, random_full_component
 
 __version__ = "0.1.0"
@@ -47,7 +47,7 @@ __all__ = [
     "Component", "CostedTree", "Decomposition", "Instance", "InstanceError",
     "LpState", "PathResult", "PowerTree", "RunTrace",
     "attach_dummy_leaves", "baseline_min_cost", "bounded_degree_decompose",
-    "build_binary_tree", "capped_min_power_path", "check_delta_properties",
+    "build_binary_tree", "check_delta_properties",
     "classify_edges", "component_graph", "delta_spanning", "delta_steiner",
     "enumerate_columns", "evaluate", "exact_min_power", "generate",
     "h_power_decompose", "harmonic", "irr_solve", "level_cut_parts",

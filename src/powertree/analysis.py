@@ -6,12 +6,12 @@ component, and the random witness-tree machinery with empirical checks.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import sqrt
 
 from .graph import UnionFind
-from .trees import CostedTree, TreeError, validate_full_component
+from .trees import CostedTree, validate_full_component
 
 
 class AnalysisError(ValueError):

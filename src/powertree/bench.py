@@ -150,7 +150,7 @@ def run_solver(
     if solver == "mst":
         return baseline_min_cost(instance, "spanning"), None
     if solver == "steiner-cost":
-        return baseline_min_cost(instance, "steiner", allow_fallback=True), None
+        return baseline_min_cost(instance, "steiner"), None
     if solver == "irr":
         return irr_solve(instance, k, seed, max_iters)
     raise BenchError(f"unknown solver {solver!r}")

@@ -17,7 +17,7 @@ from itertools import combinations, product
 from math import comb
 
 from .instance import Instance, edge_set_power
-from .pathpower import PathError, capped_state_search, min_power_path
+from .pathpower import capped_state_search
 from .pruning import extract_tree
 
 COLUMN_GUARD = 50_000
@@ -218,17 +218,21 @@ def _assemble(
     return best
 
 
-def _entering_options(states):
-    """Group a terminal's search states by end node, sorted by accrued power."""
-    by_node: dict[int, list[tuple[int, Fraction, tuple[int, ...]]]] = {}
-    for (node, eid), (power, _, _, edge_path) in states.items():
-        by_node.setdefault(node, []).append((eid, power, edge_path))
-    for opts in by_node.values():
-        opts.sort(key=lambda o: (o[1], o[0]))
-    return by_node
+def _entering(instance: Instance, searches: dict, q: int):
+    """Terminal q's search states grouped by end node, each group sorted by
+    accrued power; computed once per q and kept in `searches`."""
+    if q not in searches:
+        states = capped_state_search(instance, q, Fraction(0))
+        by_node: dict[int, list[tuple[int, Fraction, tuple[int, ...]]]] = {}
+        for (node, eid), (power, _, _, edge_path) in states.items():
+            by_node.setdefault(node, []).append((eid, power, edge_path))
+        for opts in by_node.values():
+            opts.sort(key=lambda o: (o[1], o[0]))
+        searches[q] = by_node
+    return searches[q]
 
 
-def _component_three(instance: Instance, Q: frozenset[int], searches=None) -> Component:
+def _component_three(instance: Instance, Q: frozenset[int], searches: dict) -> Component:
     """|Q| = 3 fast path: the optimal tree is a spider with one junction.
 
     Enumerate the junction node c and the legs' entering edges; the sum of
@@ -238,13 +242,7 @@ def _component_three(instance: Instance, Q: frozenset[int], searches=None) -> Co
     recovered by pruning the argmin leg union.
     """
     q_nodes = sorted(Q)
-    if searches is None:
-        searches = {}
-    enter = {}
-    for q in q_nodes:
-        if q not in searches:
-            searches[q] = _entering_options(capped_state_search(instance, q, Fraction(0)))
-        enter[q] = searches[q]
+    enter = {q: _entering(instance, searches, q) for q in q_nodes}
 
     best: tuple[Fraction, tuple[tuple[int, ...], ...]] | None = None
     for c in range(instance.node_count):
@@ -291,22 +289,17 @@ def _component_three(instance: Instance, Q: frozenset[int], searches=None) -> Co
     return Component(Q, None, tuple(tree), power)
 
 
-def _component_pair(instance: Instance, Q: frozenset[int], searches=None) -> Component:
+def _component_pair(instance: Instance, Q: frozenset[int], searches: dict) -> Component:
+    """|Q| = 2: the min-power path, ties by (accrued power, entering edge id)."""
     u, v = sorted(Q)
-    if searches is not None and u in searches:
-        best = None
-        for eid, power, edge_path in searches[u].get(v, ()):
-            total = power + instance.cost(eid)
-            if best is None or total < best[0]:
-                best = (total, edge_path)
-        if best is None:
-            raise ComponentError(f"terminals {sorted(Q)} cannot be connected")
-        return Component(Q, None, tuple(sorted(best[1])), best[0])
-    try:
-        path = min_power_path(instance, u, v)
-    except PathError as exc:
-        raise ComponentError(f"terminals {sorted(Q)} cannot be connected") from exc
-    return Component(Q, None, tuple(sorted(path.edges)), path.power)
+    best = None
+    for eid, power, edge_path in _entering(instance, searches, u).get(v, ()):
+        total = power + instance.cost(eid)
+        if best is None or total < best[0]:
+            best = (total, edge_path)
+    if best is None:
+        raise ComponentError(f"terminals {sorted(Q)} cannot be connected")
+    return Component(Q, None, tuple(sorted(best[1])), best[0])
 
 
 def min_power_component(instance: Instance, terminal_subset, k_cap: int = 4) -> Component:
@@ -323,9 +316,9 @@ def min_power_component(instance: Instance, terminal_subset, k_cap: int = 4) -> 
     if len(Q) == 1:
         return Component(Q, None, (), Fraction(0))
     if len(Q) == 2:
-        return _component_pair(instance, Q)
+        return _component_pair(instance, Q, {})
     if len(Q) == 3:
-        return _component_three(instance, Q)
+        return _component_three(instance, Q, {})
 
     q_nodes = tuple(sorted(Q))
     nonterms = [x for x in range(instance.node_count) if x not in Q]
@@ -362,10 +355,7 @@ def enumerate_columns(instance: Instance, k: int) -> list[Component]:
     if count > COLUMN_GUARD:
         raise ComponentError(f"column count {count} exceeds guard {COLUMN_GUARD}")
     # the per-terminal state searches are Q-independent; share them
-    searches = {
-        t: _entering_options(capped_state_search(instance, t, Fraction(0)))
-        for t in terms
-    }
+    searches: dict = {}
     columns: list[Component] = []
     for size in range(2, min(k, r) + 1):
         for subset in combinations(terms, size):

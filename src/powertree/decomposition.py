@@ -25,9 +25,6 @@ class Decomposition:
     total_power: Fraction
     q: int | None = None
 
-    def part_powers(self) -> list[Fraction]:
-        return [p.power() for p in self.parts]
-
 
 @dataclass(frozen=True)
 class ComponentGraph:

@@ -47,7 +47,7 @@ def exact_min_power(instance: Instance, mode: str = "steiner", node_guard: int =
 
     # upper bound seed from the cost baseline keeps the search shallow
     try:
-        seed_tree = baseline_min_cost(instance, mode, allow_fallback=True)
+        seed_tree = baseline_min_cost(instance, mode)
         best_power: Fraction | None = seed_tree.total_power
     except SolverError:
         best_power = None
@@ -57,9 +57,8 @@ def exact_min_power(instance: Instance, mode: str = "steiner", node_guard: int =
     in_tree[root] = True
     node_max: dict[int, Fraction] = {root: Fraction(0)}
     banned = [False] * m
-    min_incident: list[Fraction | None] = [None] * instance.node_count
 
-    def lower_bound(power: Fraction, covered: int) -> Fraction | None:
+    def lower_bound(power: Fraction) -> Fraction | None:
         extra = Fraction(0)
         for t in required:
             if in_tree[t]:
@@ -95,7 +94,7 @@ def exact_min_power(instance: Instance, mode: str = "steiner", node_guard: int =
         if covered == len(required):
             record(power)
             return
-        lb = lower_bound(power, covered)
+        lb = lower_bound(power)
         if lb is None or (best_power is not None and lb > best_power):
             return
         pick = None
@@ -144,25 +143,28 @@ def exact_min_power(instance: Instance, mode: str = "steiner", node_guard: int =
 # shortest paths (by cost) with edge predecessors, exact arithmetic
 
 
-def _dijkstra_cost(instance: Instance, source: int) -> tuple[list[Fraction | None], list[int | None]]:
-    dist: list[Fraction | None] = [None] * instance.node_count
-    pred_edge: list[int | None] = [None] * instance.node_count
-    dist[source] = Fraction(0)
-    heap: list[tuple[Fraction, int]] = [(Fraction(0), source)]
-    done = [False] * instance.node_count
+def _grow(instance: Instance, labels: list[Fraction | None]) -> list[int | None]:
+    """Multi-source Dijkstra: lower each label to the cheapest label-plus-path
+    cost, in place, and return each node's last path edge (None where a
+    node keeps its own label)."""
+    n = instance.node_count
+    pred_edge: list[int | None] = [None] * n
+    heap = [(d, v) for v, d in enumerate(labels) if d is not None]
+    heapq.heapify(heap)
+    done = [False] * n
     while heap:
-        d, node = heapq.heappop(heap)
-        if done[node]:
+        d, v = heapq.heappop(heap)
+        if done[v] or labels[v] != d:
             continue
-        done[node] = True
-        for eid in instance.adjacency[node]:
-            other = instance.other_end(eid, node)
+        done[v] = True
+        for eid in instance.adjacency[v]:
+            other = instance.other_end(eid, v)
             nd = d + instance.cost(eid)
-            if dist[other] is None or nd < dist[other]:
-                dist[other] = nd
+            if labels[other] is None or nd < labels[other]:
+                labels[other] = nd
                 pred_edge[other] = eid
                 heapq.heappush(heap, (nd, other))
-    return dist, pred_edge
+    return pred_edge
 
 
 def _walk_path(instance: Instance, pred_edge: list[int | None], source: int, target: int) -> list[int]:
@@ -198,25 +200,14 @@ def _dreyfus_wagner(instance: Instance) -> list[int]:
     if k == 1:
         return []
     n = instance.node_count
-    dist: list[list[Fraction | None]] = []
-    preds: list[list[int | None]] = []
-    for s in range(n):
-        d, p = _dijkstra_cost(instance, s)
-        dist.append(d)
-        preds.append(p)
-
-    INFEASIBLE = None
     full = (1 << k) - 1
-    dp: list[list[Fraction | None]] = [[INFEASIBLE] * n for _ in range(1 << k)]
-    choice: list[list[tuple | None]] = [[None] * n for _ in range(1 << k)]
+    dp: list[list[Fraction | None]] = [[None] * n for _ in range(1 << k)]
+    split: list[list[int | None]] = [[None] * n for _ in range(1 << k)]
+    pred: list[list[int | None] | None] = [None] * (1 << k)
     for i, t in enumerate(terms):
-        for v in range(n):
-            dp[1 << i][v] = dist[t][v]
-            choice[1 << i][v] = ("leaf", t)
+        dp[1 << i][t] = Fraction(0)
 
     for mask in range(1, full + 1):
-        if mask & (mask - 1) == 0:
-            continue
         low = mask & (-mask)
         sub = (mask - 1) & mask
         while sub:
@@ -228,24 +219,9 @@ def _dreyfus_wagner(instance: Instance) -> list[int]:
                         cand = a + b
                         if dp[mask][v] is None or cand < dp[mask][v]:
                             dp[mask][v] = cand
-                            choice[mask][v] = ("merge", sub)
+                            split[mask][v] = sub
             sub = (sub - 1) & mask
-        # grow step: one Dijkstra pass over the dp labels
-        heap = [(dp[mask][v], v) for v in range(n) if dp[mask][v] is not None]
-        heapq.heapify(heap)
-        settled = [False] * n
-        while heap:
-            d, v = heapq.heappop(heap)
-            if settled[v] or dp[mask][v] != d:
-                continue
-            settled[v] = True
-            for eid in instance.adjacency[v]:
-                other = instance.other_end(eid, v)
-                nd = d + instance.cost(eid)
-                if dp[mask][other] is None or nd < dp[mask][other]:
-                    dp[mask][other] = nd
-                    choice[mask][other] = ("grow", v, eid)
-                    heapq.heappush(heap, (nd, other))
+        pred[mask] = _grow(instance, dp[mask])
 
     target = terms[0]
     if dp[full][target] is None:
@@ -254,18 +230,14 @@ def _dreyfus_wagner(instance: Instance) -> list[int]:
     edges: set[int] = set()
 
     def reconstruct(mask: int, v: int) -> None:
-        ch = choice[mask][v]
-        if ch is None:
-            raise SolverError("internal error: missing DP choice")
-        if ch[0] == "leaf":
-            edges.update(_walk_path(instance, preds[ch[1]], ch[1], v))
-        elif ch[0] == "merge":
-            reconstruct(ch[1], v)
-            reconstruct(mask ^ ch[1], v)
-        else:
-            _, u, eid = ch
+        while pred[mask][v] is not None:
+            eid = pred[mask][v]
             edges.add(eid)
-            reconstruct(mask, u)
+            v = instance.other_end(eid, v)
+        sub = split[mask][v]
+        if sub is not None:
+            reconstruct(sub, v)
+            reconstruct(mask ^ sub, v)
 
     reconstruct(full, target)
     return _terminal_tree(instance, edges)
@@ -279,9 +251,9 @@ def _metric_closure_steiner(instance: Instance) -> list[int]:
     dists = {}
     preds = {}
     for t in terms:
-        d, p = _dijkstra_cost(instance, t)
-        dists[t] = d
-        preds[t] = p
+        dists[t] = [None] * instance.node_count
+        dists[t][t] = Fraction(0)
+        preds[t] = _grow(instance, dists[t])
     # Kruskal over terminal pairs
     pairs = []
     for a, b in combinations(terms, 2):
@@ -297,11 +269,13 @@ def _metric_closure_steiner(instance: Instance) -> list[int]:
     return _terminal_tree(instance, union_edges)
 
 
-def baseline_min_cost(instance: Instance, mode: str = "steiner", allow_fallback: bool = False) -> PowerTree:
+def baseline_min_cost(instance: Instance, mode: str = "steiner") -> PowerTree:
     """Min-cost tree (MST / Dreyfus-Wagner / metric-closure) under the power objective.
 
-    In spanning mode and exact steiner mode the result is a per-instance
-    2-approximation for min-power via c(S) <= p(S) <= 2c(S).
+    Steiner mode runs the exact Dreyfus-Wagner DP up to 12 terminals and the
+    metric-closure heuristic above. In spanning mode and exact steiner mode
+    the result is a per-instance 2-approximation for min-power via
+    c(S) <= p(S) <= 2c(S).
     """
     if mode == "spanning":
         chosen = _kruskal(instance, range(len(instance.edges)))
@@ -311,7 +285,5 @@ def baseline_min_cost(instance: Instance, mode: str = "steiner", allow_fallback:
     if mode != "steiner":
         raise SolverError(f"unknown mode {mode!r}")
     if len(instance.terminals) > 12:
-        if not allow_fallback:
-            raise SolverError("terminal count exceeds exact guard (pass allow_fallback for the metric-closure heuristic)")
         return evaluate(instance, _metric_closure_steiner(instance))
     return evaluate(instance, _dreyfus_wagner(instance))

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -19,6 +18,7 @@ from .components import Component
 from .instance import Instance
 
 DEFAULT_TOL = 1e-7
+MAX_ROUNDS = 10_000
 _PIVOT_EPS = 1e-9
 
 
@@ -207,20 +207,21 @@ def separate(
 ) -> frozenset[int] | None:
     """Most violated cut row, or None when every terminal routes unit flow.
 
-    Auxiliary digraph: a gadget node per column with infinite-capacity arcs
-    from each q in Q - {s} and an arc of capacity x_{Q,s} into s; terminal t
-    is separated iff its max flow to the root falls below 1 - tol. Returns
-    the terminal side of the min cut intersected with the terminal set.
+    Auxiliary digraph: a gadget node per column of positive mass x_{Q,s},
+    with infinite-capacity arcs from each q in Q - {s} and an arc of
+    capacity x_{Q,s} into s (a massless column's gadget would only be a
+    dead end, so it is left out); terminal t is separated iff its max flow
+    to the root falls below 1 - tol. Returns the terminal side of the min
+    cut intersected with the terminal set.
     """
     terms = sorted(instance.terminals)
     index = {t: i for i, t in enumerate(terms)}
-    n_nodes = len(terms) + len(columns)
-    net = _FlowNet(n_nodes)
+    live = [j for j in range(len(columns)) if x.get(j, 0.0) > 0.0]
+    net = _FlowNet(len(terms) + len(live))
     inf = sum(x.values()) + 1.0
-    for j, col in enumerate(columns):
-        gadget = len(terms) + j
-        xv = x.get(j, 0.0)
-        net.add(gadget, index[col.sink], xv)
+    for gadget, j in enumerate(live, len(terms)):
+        col = columns[j]
+        net.add(gadget, index[col.sink], x[j])
         for q in col.terminal_set:
             if q != col.sink:
                 net.add(index[q], gadget, inf)
@@ -244,7 +245,6 @@ def solve_lp(
     instance: Instance,
     columns: list[Component],
     tol: float = DEFAULT_TOL,
-    max_rounds: int = 10_000,
 ) -> LpState:
     """Cutting-plane solve of the component LP restricted to the given columns.
 
@@ -264,9 +264,9 @@ def solve_lp(
     known = set(rows)
     if not rows:
         return LpState(list(columns), [], {}, 0.0)
+    supports = [row_support(columns, w) for w in rows]
     history: list[float] = []
-    for _ in range(max_rounds):
-        supports = [row_support(columns, w) for w in rows]
+    for _ in range(MAX_ROUNDS):
         x, value = lp_core_solve(supports, len(columns), objective)
         history.append(value)
         cut = separate(instance, columns, x, tol)
@@ -276,4 +276,5 @@ def solve_lp(
             raise LpError(f"separation returned an existing row {sorted(cut)}; tolerance mismatch")
         rows.append(cut)
         known.add(cut)
-    raise LpError(f"cutting-plane loop exceeded {max_rounds} rounds")
+        supports.append(row_support(columns, cut))
+    raise LpError(f"cutting-plane loop exceeded {MAX_ROUNDS} rounds")

@@ -91,53 +91,21 @@ def capped_state_search(
     return best
 
 
-def _finish(
-    instance: Instance,
-    states,
-    dst: int,
-    cap_dst: Fraction,
-) -> PathResult | None:
-    answer = None
-    for (node, eid), (power, n_edges, nodes, edges) in states.items():
-        if node != dst:
-            continue
-        total = power + max(instance.cost(eid), cap_dst)
-        cand = (total, n_edges, nodes, edges)
-        if answer is None or cand[:3] < answer[:3]:
-            answer = cand
-    if answer is None:
-        return None
-    return PathResult(answer[2], answer[3], answer[0])
-
-
 def min_power_path(instance: Instance, src: int, dst: int) -> PathResult:
     """Minimum-power path between two nodes."""
-    return capped_min_power_path(instance, src, dst, Fraction(0), Fraction(0))
-
-
-def capped_min_power_path(
-    instance: Instance,
-    src: int,
-    dst: int,
-    cap_src: Fraction,
-    cap_dst: Fraction,
-    forbidden: frozenset[int] | None = None,
-) -> PathResult:
-    """Min-power path whose endpoint payments are capped from below.
-
-    Minimizes max(cap_src, c(e_1)) + internal maxes + max(c(e_last), cap_dst):
-    the exact power contribution of a path whose endpoints already carry
-    incident edges of the given costs. With zero caps this is min_power_path.
-    """
     if src == dst:
         raise PathError("src and dst must differ")
     for node in (src, dst):
         if not (0 <= node < instance.node_count):
             raise PathError(f"node {node} out of range")
-    if forbidden and (src in forbidden or dst in forbidden):
-        raise PathError("endpoint is forbidden")
-    states = capped_state_search(instance, src, cap_src, forbidden)
-    result = _finish(instance, states, dst, cap_dst)
-    if result is None:
+    answer = None
+    states = capped_state_search(instance, src, Fraction(0))
+    for (node, eid), (power, n_edges, nodes, edges) in states.items():
+        if node != dst:
+            continue
+        cand = (power + instance.cost(eid), n_edges, nodes, edges)
+        if answer is None or cand[:3] < answer[:3]:
+            answer = cand
+    if answer is None:
         raise PathError(f"node {dst} unreachable from {src}")
-    return result
+    return PathResult(answer[2], answer[3], answer[0])

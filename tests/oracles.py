@@ -7,9 +7,11 @@ the same subset sweep, and tiny LPs by rational vertex enumeration.
 
 from __future__ import annotations
 
+import heapq
 from fractions import Fraction
 from itertools import combinations
 
+from powertree.exact import _terminal_tree
 from powertree.instance import Instance, edge_set_power
 
 
@@ -281,3 +283,107 @@ def extract_tree_reference(instance: Instance, edge_ids, required: frozenset[int
                 best = (delta, eid)
         current.remove(best[1])
     return strip_leaves_reference(instance, current, required)
+
+
+# ---------------------------------------------------------------------------
+# reference Dreyfus-Wagner: the original all-pairs implementation, kept to
+# check the one multi-source grow step that replaced its two Dijkstras
+
+
+def _dijkstra_cost_reference(instance: Instance, source: int) -> tuple[list[Fraction | None], list[int | None]]:
+    dist: list[Fraction | None] = [None] * instance.node_count
+    pred_edge: list[int | None] = [None] * instance.node_count
+    dist[source] = Fraction(0)
+    heap: list[tuple[Fraction, int]] = [(Fraction(0), source)]
+    done = [False] * instance.node_count
+    while heap:
+        d, node = heapq.heappop(heap)
+        if done[node]:
+            continue
+        done[node] = True
+        for eid in instance.adjacency[node]:
+            other = instance.other_end(eid, node)
+            nd = d + instance.cost(eid)
+            if dist[other] is None or nd < dist[other]:
+                dist[other] = nd
+                pred_edge[other] = eid
+                heapq.heappush(heap, (nd, other))
+    return dist, pred_edge
+
+
+def dreyfus_wagner_reference(instance: Instance) -> list[int]:
+    """Min-cost Steiner tree edges: all-pairs Dijkstra tables for the
+    singleton subsets, then merge and grow steps per terminal subset, then
+    the same cheapest-forest-and-strip finish as the package."""
+    terms = sorted(instance.terminals)
+    k = len(terms)
+    if k == 1:
+        return []
+    n = instance.node_count
+    dist = []
+    preds = []
+    for s in range(n):
+        d, p = _dijkstra_cost_reference(instance, s)
+        dist.append(d)
+        preds.append(p)
+
+    full = (1 << k) - 1
+    dp: list[list[Fraction | None]] = [[None] * n for _ in range(1 << k)]
+    choice: list[list[tuple | None]] = [[None] * n for _ in range(1 << k)]
+    for i, t in enumerate(terms):
+        for v in range(n):
+            dp[1 << i][v] = dist[t][v]
+            choice[1 << i][v] = ("leaf", t)
+
+    for mask in range(1, full + 1):
+        if mask & (mask - 1) == 0:
+            continue
+        low = mask & (-mask)
+        sub = (mask - 1) & mask
+        while sub:
+            if sub & low:
+                rest = mask ^ sub
+                for v in range(n):
+                    a, b = dp[sub][v], dp[rest][v]
+                    if a is not None and b is not None:
+                        cand = a + b
+                        if dp[mask][v] is None or cand < dp[mask][v]:
+                            dp[mask][v] = cand
+                            choice[mask][v] = ("merge", sub)
+            sub = (sub - 1) & mask
+        heap = [(dp[mask][v], v) for v in range(n) if dp[mask][v] is not None]
+        heapq.heapify(heap)
+        settled = [False] * n
+        while heap:
+            d, v = heapq.heappop(heap)
+            if settled[v] or dp[mask][v] != d:
+                continue
+            settled[v] = True
+            for eid in instance.adjacency[v]:
+                other = instance.other_end(eid, v)
+                nd = d + instance.cost(eid)
+                if dp[mask][other] is None or nd < dp[mask][other]:
+                    dp[mask][other] = nd
+                    choice[mask][other] = ("grow", v, eid)
+                    heapq.heappush(heap, (nd, other))
+
+    edges: set[int] = set()
+
+    def reconstruct(mask: int, v: int) -> None:
+        ch = choice[mask][v]
+        if ch[0] == "leaf":
+            node = v
+            while node != ch[1]:
+                eid = preds[ch[1]][node]
+                edges.add(eid)
+                node = instance.other_end(eid, node)
+        elif ch[0] == "merge":
+            reconstruct(ch[1], v)
+            reconstruct(mask ^ ch[1], v)
+        else:
+            _, u, eid = ch
+            edges.add(eid)
+            reconstruct(mask, u)
+
+    reconstruct(full, terms[0])
+    return _terminal_tree(instance, edges)

@@ -8,7 +8,7 @@ from powertree.components import (
     enumerate_columns,
     min_power_component,
 )
-from powertree.generators import generate
+from powertree.generators import GENERATOR_KINDS, generate
 from powertree.instance import Instance, evaluate, parse_instance
 from powertree.pathpower import min_power_path
 from oracles import min_power_tree_bruteforce
@@ -118,6 +118,17 @@ def test_enumerate_columns_k2_matches_paths():
     for col in enumerate_columns(inst, 2):
         a, b = sorted(col.terminal_set)
         assert col.power == min_power_path(inst, a, b).power
+
+
+def test_pair_component_equals_its_column():
+    # low costs make equal-power paths common, so this checks the tie-break too
+    for kind in GENERATOR_KINDS:
+        for s in range(8):
+            nodes = 4 if kind == "reduction-wrapped" else 6 + s % 3
+            inst = generate(kind, nodes, 4, 15_000 + 100 * s + len(kind), edge_prob=0.5, cost_max=2)
+            for col in enumerate_columns(inst, 2):
+                comp = min_power_component(inst, col.terminal_set, 2)
+                assert (comp.edges, comp.power) == (col.edges, col.power), (kind, s)
 
 
 def test_column_guard():

@@ -3,10 +3,10 @@ from fractions import Fraction as F
 
 import pytest
 
-from powertree.exact import SolverError, baseline_min_cost, exact_min_power
-from powertree.generators import generate
-from powertree.instance import Instance, parse_instance, reduce_cost_to_power
-from oracles import min_cost_tree_bruteforce, min_power_tree_bruteforce
+from powertree.exact import SolverError, _dreyfus_wagner, baseline_min_cost, exact_min_power
+from powertree.generators import GENERATOR_KINDS, generate
+from powertree.instance import parse_instance, reduce_cost_to_power
+from oracles import dreyfus_wagner_reference, min_cost_tree_bruteforce, min_power_tree_bruteforce
 
 
 def test_triangle_all_terminals():
@@ -98,6 +98,16 @@ def test_dreyfus_wagner_matches_brute_force():
         assert tree.total_cost == min_cost_tree_bruteforce(inst, inst.terminals)
 
 
+def test_dreyfus_wagner_matches_reference():
+    # same edges as the all-pairs implementation, ties included
+    for kind in GENERATOR_KINDS:
+        for s in range(15):
+            nodes = 3 + s % 3 if kind == "reduction-wrapped" else 5 + s % 6
+            inst = generate(kind, nodes, 2 + s % (nodes - 1), 14_000 + 100 * s + len(kind),
+                            edge_prob=0.4, cost_max=4)
+            assert _dreyfus_wagner(inst) == dreyfus_wagner_reference(inst), (kind, s)
+
+
 def test_baseline_power_ratio_at_most_two():
     for seed in range(120):
         rng = random.Random(13_000 + seed)
@@ -109,8 +119,8 @@ def test_baseline_power_ratio_at_most_two():
 
 
 def test_metric_closure_fallback():
-    inst = generate("uniform-random", 10, 9, 17, edge_prob=0.3, cost_max=9)
-    big_r = Instance(inst.node_count, inst.edges, frozenset(range(10)), inst.root)
-    # 13+ terminals would be needed to trip the guard; exercise the flag path
-    tree = baseline_min_cost(big_r, "steiner", allow_fallback=True)
+    # above 12 terminals the Steiner baseline is the metric-closure heuristic
+    inst = generate("uniform-random", 14, 13, 17, edge_prob=0.3, cost_max=9)
+    tree = baseline_min_cost(inst, "steiner")
     assert tree.total_power > 0
+    assert inst.terminals <= {x for e in tree.edges for x in inst.edges[e][:2]}

@@ -2,11 +2,12 @@ import itertools
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from powertree.components import enumerate_columns
 from powertree.exact import exact_min_power
-from powertree.generators import generate
+from powertree.generators import GENERATOR_KINDS, generate
 from powertree.instance import parse_instance
 from powertree.lp import LpError, lp_core_solve, row_support, separate, solve_lp
 from oracles import lp_vertex_enumeration
@@ -153,6 +154,34 @@ def test_feasible_for_all_rows_and_lower_bound():
         if len(inst.terminals) <= 3:
             exact = exact_min_power(inst, "steiner").total_power
             assert state.objective <= float(exact) + 1e-6
+
+
+def test_objective_matches_highs_on_full_row_set():
+    optimize = pytest.importorskip("scipy.optimize")
+    cases = []
+    for kind in GENERATOR_KINDS:
+        for s in range(4):
+            nodes = 5 if kind == "reduction-wrapped" else 6 + s % 2
+            cases.append(generate(kind, nodes, 4 + s % 2, 16_000 + 100 * s + len(kind), edge_prob=0.5))
+    rng = random.Random(16)
+    for inst in cases[::2]:
+        # costs spread over 16 decades
+        cases.append(inst.with_costs([rng.randint(1, 9) * F(10) ** rng.randint(-8, 8) for _ in inst.edges]))
+    for inst in cases:
+        cols = enumerate_columns(inst, 3)
+        rows = list(all_cut_rows(inst))
+        cover = np.zeros((len(rows), len(cols)))
+        for i, w in enumerate(rows):
+            cover[i, row_support(cols, w)] = 1.0
+        # HiGHS's default 1e-7 feasibility tolerances are absolute: on instances
+        # whose powers are all tiny it stops above the optimum
+        want = optimize.linprog([float(c.power) for c in cols], A_ub=-cover, b_ub=-np.ones(len(rows)),
+                                bounds=(0, None), method="highs",
+                                options={"primal_feasibility_tolerance": 1e-10,
+                                         "dual_feasibility_tolerance": 1e-10})
+        assert want.status == 0
+        got = solve_lp(inst, cols).objective
+        assert abs(got - want.fun) <= 1e-9 * max(abs(got), abs(want.fun)), (got, want.fun)
 
 
 def test_infeasible_without_columns():

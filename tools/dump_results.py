@@ -1,0 +1,118 @@
+"""Dump the results of every pipeline stage on fixed seeded inputs, one JSON
+line per result, to show that a refactor changes no result.
+
+usage: python tools/dump_results.py SRC_DIR > results.jsonl
+
+SRC_DIR is the `src` directory of the checkout to import `powertree` from.
+Dump two checkouts and compare the files (`cmp`, or `diff` to see which
+records differ). Only public behaviour is recorded, so the two checkouts may
+differ in anything else. Records:
+
+  irr        irr_solve tree and full trace: 80 solves on each perfbench irr
+             workload's generator, and the four generator kinds in both modes
+  exact      exact_min_power, and the min-cost baselines through the bench
+             solver switch (steiner, spanning, and more than 12 terminals)
+  extract    extract_tree on random edge subsets, raising calls included
+  columns    enumerate_columns at k=4 (edges and power per column)
+  pair       min_power_component on every terminal pair
+  lp         solve_lp rows, x and objective history
+  bench      bench-oracle suite CSVs without the wall_time_s column
+"""
+
+from __future__ import annotations
+
+import json
+import random
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def emit(kind: str, key, value) -> None:
+    print(json.dumps({"kind": kind, "key": key, "value": value}, sort_keys=True))
+
+
+def tree_record(tree) -> list:
+    return [list(tree.edges), str(tree.total_power), str(tree.total_cost)]
+
+
+def main(src: str) -> None:
+    sys.path.insert(0, src)
+    sys.path.insert(1, str(ROOT / "perfbench"))
+    import powertree as pt
+    from powertree.bench import parse_config, run_bench, run_solver, with_mode
+    from powertree.exact import SolverError
+    from powertree.generators import GENERATOR_KINDS
+    from powertree.pruning import extract_tree
+    from workloads import WORKLOADS, BenchPlan, derive
+
+    def solve_irr(key, inst, k, seed):
+        try:
+            tree, trace = pt.irr_solve(inst, k, seed)
+        except Exception as exc:  # recorded: both checkouts must fail alike
+            emit("irr", key, f"{type(exc).__name__}: {exc}")
+            return
+        emit("irr", key, [tree_record(tree), [r.to_record() for r in trace.records]])
+
+    for name in ("irr-spanning", "irr-steiner-k4"):
+        w = WORKLOADS[name]
+        for j in range(80):
+            inst = pt.generate("uniform-random", w.nodes, w.terminals,
+                               derive(1, name, "instance", j), edge_prob=w.edge_prob)
+            solve_irr([name, j], with_mode(inst, w.mode), w.k, derive(1, "irr", j))
+
+    mixed = []
+    for kind in GENERATOR_KINDS:
+        for s in range(12):
+            nodes = 4 + s % 2 if kind == "reduction-wrapped" else 6 + s % 4
+            mixed.append((kind, s, pt.generate(kind, nodes, min(3 + s % 3, nodes), 500 + s, cost_max=5)))
+    for kind, s, inst in mixed:
+        for mode in ("steiner", "spanning"):
+            if s < 10:
+                solve_irr([kind, s, mode], with_mode(inst, mode), 3 if s % 2 else 2, s)
+            for solver in ("exact", "mst", "steiner-cost"):
+                try:
+                    tree, _ = run_solver(inst, solver, mode, 3, 0, None)
+                    emit("exact", [kind, s, mode, solver], tree_record(tree))
+                except SolverError as exc:
+                    emit("exact", [kind, s, mode, solver], f"SolverError: {exc}")
+    for s in range(6):
+        inst = pt.generate("uniform-random", 14 + s % 3, 13 + s % 2, 900 + s, edge_prob=0.25, cost_max=5)
+        emit("exact", ["many-terminals", s], tree_record(run_solver(inst, "steiner-cost", "steiner", 3, 0, None)[0]))
+        emit("exact", ["many-terminals-mst", s], tree_record(run_solver(inst, "mst", "steiner", 3, 0, None)[0]))
+
+    rng = random.Random(7)
+    for kind, s, inst in mixed:
+        n, m = inst.node_count, len(inst.edges)
+        for t in range(20):
+            sub = [e for e in range(m) if rng.random() < rng.choice((0.5, 0.8, 1.0))]
+            req = frozenset(rng.sample(range(n), rng.randint(1, min(4, n))))
+            try:
+                emit("extract", [kind, s, t], extract_tree(inst, sub, req))
+            except ValueError as exc:
+                emit("extract", [kind, s, t], f"ValueError: {exc}")
+
+    for kind, s, inst in mixed[::3]:
+        cols = pt.enumerate_columns(inst, 4)
+        emit("columns", [kind, s], [[sorted(c.terminal_set), c.sink, list(c.edges), str(c.power)] for c in cols])
+        terms = sorted(inst.terminals)
+        for a in terms:
+            for b in terms:
+                if a < b:
+                    comp = pt.min_power_component(inst, {a, b}, 2)
+                    emit("pair", [kind, s, a, b], [list(comp.edges), str(comp.power)])
+        state = pt.solve_lp(inst, pt.enumerate_columns(inst, 3))
+        emit("lp", [kind, s], [[sorted(r) for r in state.rows], sorted(state.x.items()),
+                               list(state.objective_history)])
+
+    w = WORKLOADS["bench-oracle"]
+    for u in range(6):
+        report = run_bench(parse_config(w.suite_text(1, u)))
+        emit("bench", u, BenchPlan.signature(report))
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        sys.exit(__doc__)
+    main(sys.argv[1])
