@@ -76,22 +76,18 @@ def parse_config(text: str) -> SuiteConfig:
             cfg.solvers.append(name)
         elif "=" in line:
             key, _, value = (p.strip() for p in line.partition("="))
-            if key == "seed":
-                cfg.seed = int(value)
-            elif key == "reps":
-                cfg.reps = int(value)
-            elif key == "k":
-                cfg.k = int(value)
+            if key in ("seed", "reps", "k", "max_iters", "threads"):
+                try:
+                    number = int(value)
+                except ValueError:
+                    raise BenchError(f"line {lineno}: {key} must be an integer, got {value!r}") from None
+                if key in ("reps", "threads") and number < 1:
+                    raise BenchError(f"line {lineno}: {key} must be >= 1")
+                setattr(cfg, key, number)
             elif key == "mode":
                 if value not in ("steiner", "spanning"):
                     raise BenchError(f"line {lineno}: mode must be steiner or spanning")
                 cfg.mode = value
-            elif key == "max_iters":
-                cfg.max_iters = int(value)
-            elif key == "threads":
-                cfg.threads = int(value)
-                if cfg.threads < 1:
-                    raise BenchError(f"line {lineno}: threads must be >= 1")
             else:
                 raise BenchError(f"line {lineno}: unknown key {key!r}")
         else:

@@ -14,6 +14,11 @@ from typing import Iterable, Mapping, Sequence
 from .graph import UnionFind, connects
 
 
+# largest `nodes N` an instance file may declare: an `Instance` allocates
+# per-node structures up front, so a short file must not ask for more
+MAX_NODES = 100_000
+
+
 class InstanceError(ValueError):
     """Raised for malformed instance files or invalid instance data."""
 
@@ -190,6 +195,8 @@ def parse_instance(text: str) -> Instance:
         try:
             if parts[0] == "nodes" and len(parts) == 2:
                 node_count = int(parts[1])
+                if node_count > MAX_NODES:
+                    raise InstanceError(f"line {lineno}: {node_count} nodes exceed the limit of {MAX_NODES}")
             elif parts[0] == "edge" and len(parts) == 4:
                 edges.append((int(parts[1]), int(parts[2]), parse_cost(parts[3])))
             elif parts[0] == "terminals" and len(parts) >= 2:

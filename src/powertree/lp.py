@@ -1,4 +1,4 @@
-"""Component-based cut LP: simplex core, max-flow separation, cutting planes.
+"""Component-based cut LP: dual simplex core, max-flow separation, cutting planes.
 
 The LP has one variable per directed component (Q, s) with objective
 coefficient p_Q; a cut row for W demands one unit of mass on columns with
@@ -46,6 +46,73 @@ def row_support(columns: list[Component], cut: frozenset[int]) -> list[int]:
     ]
 
 
+class _DualSimplex:
+    """Dual simplex tableau of min c.x over {x >= 0, A x >= 1}, kept across rows.
+
+    Each row i of A is stored as -A_i x + s_i = -1 with its surplus s_i, so
+    the surplus basis is dual feasible (every cost is >= 0) and needs no
+    phase 1; a row appended later keeps the basis dual feasible, so pivoting
+    resumes where it stopped. Row 0 holds the reduced costs of c / max(c),
+    which makes the pivots independent of the cost scale; row 1 + i holds
+    constraint i. Column 0 is the right-hand side, column 1 + j is x_j and
+    column 1 + n + i is s_i.
+    """
+
+    def __init__(self, objective: list[float]):
+        self.objective = objective
+        self.n = len(objective)
+        self.tableau = np.zeros((1, 1 + self.n))
+        self.tableau[0, 1:] = objective
+        scale = max(objective, default=0.0)
+        if scale > 0.0:
+            self.tableau[0, 1:] /= scale
+        self.basis = np.zeros(0, dtype=np.intp)  # tableau column basic in row 1 + i
+
+    def add_row(self, support: list[int]) -> None:
+        """Append the row sum_{j in support} x_j >= 1 with its surplus basic."""
+        m, width = self.tableau.shape
+        t = np.zeros((m + 1, width + 1))
+        t[:m, :width] = self.tableau
+        row = t[m]
+        row[0] = -1.0
+        row[1 + np.asarray(support, dtype=np.intp)] = -1.0
+        row[width] = 1.0
+        row -= row[self.basis] @ t[1:m]  # zero the entries under basic columns
+        self.tableau = t
+        self.basis = np.append(self.basis, width)
+
+    def solve(self) -> tuple[dict[int, float], float]:
+        """Pivot until every row is feasible; return the basic x and its value.
+
+        Bland's rule for the dual: the infeasible row with the smallest basic
+        index leaves, and the minimum-ratio column enters, ties going to the
+        smallest index. Deterministic and cycle-free.
+        """
+        t, basis = self.tableau, self.basis
+        while True:
+            rows = np.flatnonzero(t[1:, 0] < -_PIVOT_EPS)
+            if rows.size == 0:
+                break
+            r = 1 + rows[np.argmin(basis[rows])]
+            cols = 1 + np.flatnonzero(t[r, 1:] < -_PIVOT_EPS)
+            if cols.size == 0:
+                raise LpError("infeasible: no fractional solution covers every cut row")
+            enter = cols[np.argmin(t[0, cols] / -t[r, cols])]
+            t[r] /= t[r, enter]
+            col = t[:, enter].copy()
+            col[r] = 0.0
+            t -= np.outer(col, t[r])
+            basis[r - 1] = enter
+        x = {}
+        for i, b in enumerate(basis):
+            # keep even tiny masses: truncation here would leak into the
+            # separation oracle as spurious row violations
+            if b <= self.n and t[1 + i, 0] > 0.0:
+                x[int(b) - 1] = float(t[1 + i, 0])
+        value = sum(self.objective[j] * xv for j, xv in x.items())
+        return x, value
+
+
 def lp_core_solve(
     row_supports: list[list[int]],
     n_cols: int,
@@ -53,87 +120,15 @@ def lp_core_solve(
 ) -> tuple[dict[int, float], float]:
     """Minimize objective over {x >= 0, sum_{j in support} x_j >= 1 per row}.
 
-    Dense two-phase simplex with Bland's rule (smallest eligible index
-    enters; smallest basic index leaves on ratio ties): deterministic and
-    cycle-free. Returns the optimal basic solution as a sparse dict.
+    One cold solve of the tableau `solve_lp` warm-starts. Returns the optimal
+    basic solution as a sparse dict and its value.
     """
-    m = len(row_supports)
-    if m == 0:
-        return {}, 0.0
-    n_total = n_cols + 2 * m  # x, surplus, artificial
-    tableau = np.zeros((m, n_total + 1))
-    for i, support in enumerate(row_supports):
-        for j in support:
-            tableau[i, j] = 1.0
-        tableau[i, n_cols + i] = -1.0          # surplus
-        tableau[i, n_cols + m + i] = 1.0       # artificial
-        tableau[i, n_total] = 1.0
-    basis = [n_cols + m + i for i in range(m)]
-
-    def pivot(z_row: np.ndarray, row: int, col: int) -> None:
-        tableau[row] /= tableau[row, col]
-        for r in range(m):
-            if r != row and tableau[r, col] != 0.0:
-                tableau[r] -= tableau[r, col] * tableau[row]
-        z_row -= z_row[col] * tableau[row]
-        basis[row] = col
-
-    def run(z_row: np.ndarray, allowed: range | list[int]) -> None:
-        while True:
-            enter = next((j for j in allowed if z_row[j] < -_PIVOT_EPS), None)
-            if enter is None:
-                return
-            leave = None
-            best_ratio = None
-            for i in range(m):
-                coef = tableau[i, enter]
-                if coef > _PIVOT_EPS:
-                    ratio = tableau[i, n_total] / coef
-                    if (
-                        best_ratio is None
-                        or ratio < best_ratio - _PIVOT_EPS
-                        or (abs(ratio - best_ratio) <= _PIVOT_EPS and basis[i] < basis[leave])
-                    ):
-                        best_ratio = ratio
-                        leave = i
-            if leave is None:
-                raise LpError("internal error: unbounded LP")
-            pivot(z_row, leave, enter)
-
-    # phase 1: drive artificials to zero
-    z1 = np.zeros(n_total + 1)
-    z1[n_cols + m:n_total] = 1.0
-    for i in range(m):
-        z1 -= tableau[i]  # basic artificial columns must read zero
-    run(z1, range(n_cols + m))
-    if -z1[n_total] > 1e-6:
-        raise LpError("infeasible: no fractional solution covers every cut row")
-    for i in range(m):
-        if basis[i] >= n_cols + m:
-            col = next(
-                (j for j in range(n_cols + m) if abs(tableau[i, j]) > _PIVOT_EPS),
-                None,
-            )
-            if col is not None:
-                pivot(z1, i, col)
-            # else: redundant row; artificial stays basic at zero harmlessly
-
-    # phase 2: original objective
-    z2 = np.zeros(n_total + 1)
-    z2[:n_cols] = objective
-    for i in range(m):
-        if basis[i] < n_cols:
-            z2 -= z2[basis[i]] * tableau[i]
-    run(z2, range(n_cols + m))
-
-    x = {}
-    for i in range(m):
-        # keep even tiny masses: truncation here would leak into the
-        # separation oracle as artificial row violations
-        if basis[i] < n_cols and tableau[i, n_total] > 0.0:
-            x[basis[i]] = float(tableau[i, n_total])
-    value = sum(objective[j] * xv for j, xv in x.items())
-    return x, value
+    if len(objective) != n_cols:
+        raise LpError(f"objective has {len(objective)} entries for {n_cols} columns")
+    lp = _DualSimplex(objective)
+    for support in row_supports:
+        lp.add_row(support)
+    return lp.solve()
 
 
 # ---------------------------------------------------------------------------
@@ -259,15 +254,16 @@ def solve_lp(
     for t in others:
         if not any(t in col.terminal_set and col.sink != t for col in columns):
             raise LpError(f"infeasible: terminal {t} has no covering column")
-    objective = [float(col.power) for col in columns]
     rows: list[frozenset[int]] = [frozenset({t}) for t in others]
     known = set(rows)
     if not rows:
         return LpState(list(columns), [], {}, 0.0)
-    supports = [row_support(columns, w) for w in rows]
+    lp = _DualSimplex([float(col.power) for col in columns])
+    for w in rows:
+        lp.add_row(row_support(columns, w))
     history: list[float] = []
     for _ in range(MAX_ROUNDS):
-        x, value = lp_core_solve(supports, len(columns), objective)
+        x, value = lp.solve()
         history.append(value)
         cut = separate(instance, columns, x, tol)
         if cut is None:
@@ -276,5 +272,5 @@ def solve_lp(
             raise LpError(f"separation returned an existing row {sorted(cut)}; tolerance mismatch")
         rows.append(cut)
         known.add(cut)
-        supports.append(row_support(columns, cut))
+        lp.add_row(row_support(columns, cut))
     raise LpError(f"cutting-plane loop exceeded {MAX_ROUNDS} rounds")

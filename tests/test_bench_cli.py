@@ -81,8 +81,16 @@ def test_config_errors():
         parse_config("instance gen:uniform-random nodes=4 terminals=4 seed=1\nsolver nope\n")
     with pytest.raises(BenchError, match="no instances"):
         parse_config("solver exact\n")
-    with pytest.raises(BenchError, match="threads must be >= 1"):
-        parse_config("threads = 0\ninstance gen:uniform-random nodes=4 terminals=4 seed=1\nsolver exact\n")
+    body = "instance gen:uniform-random nodes=4 terminals=4 seed=1\nsolver exact\n"
+    for line, message in [
+        ("threads = 0", "line 1: threads must be >= 1"),
+        ("reps = 0", "line 1: reps must be >= 1"),
+        ("reps = -1", "line 1: reps must be >= 1"),
+        ("seed = abc", "line 1: seed must be an integer"),
+        ("k = 3.5", "line 1: k must be an integer"),
+    ]:
+        with pytest.raises(BenchError, match=message):
+            parse_config(line + "\n" + body)
 
 
 def test_derive_seed_stable():

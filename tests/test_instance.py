@@ -40,6 +40,8 @@ def test_parse_decimal_cost_exact():
     ("nodes 2\nedge 0 1 1\nedge 1 0 2\nterminals 0 1\nroot 0", "duplicate edge"),
     ("nodes 2\nedge 0 1 1\nterminals 0 5\nroot 0", "out of range"),
     ("nodes 4\nedge 0 1 1\nedge 2 3 1\nterminals 0 3\nroot 0", "disconnected"),
+    # rejected before ten billion adjacency lists are allocated
+    ("nodes 10000000000\nterminals 0\nroot 0\n", "line 1: 10000000000 nodes exceed the limit"),
 ])
 def test_parse_diagnostics(text, pattern):
     with pytest.raises(InstanceError, match=pattern):

@@ -156,8 +156,9 @@ def test_feasible_for_all_rows_and_lower_bound():
             assert state.objective <= float(exact) + 1e-6
 
 
-def test_objective_matches_highs_on_full_row_set():
-    optimize = pytest.importorskip("scipy.optimize")
+def generated_cases():
+    """16 generated instances over every generator kind, plus 8 of them with
+    costs spread over 16 decades."""
     cases = []
     for kind in GENERATOR_KINDS:
         for s in range(4):
@@ -165,8 +166,23 @@ def test_objective_matches_highs_on_full_row_set():
             cases.append(generate(kind, nodes, 4 + s % 2, 16_000 + 100 * s + len(kind), edge_prob=0.5))
     rng = random.Random(16)
     for inst in cases[::2]:
-        # costs spread over 16 decades
         cases.append(inst.with_costs([rng.randint(1, 9) * F(10) ** rng.randint(-8, 8) for _ in inst.edges]))
+    return cases
+
+
+def relative_gap(a, b):
+    return abs(a - b) / max(abs(a), abs(b)) if a or b else 0.0
+
+
+def test_objective_matches_highs_on_full_row_set():
+    optimize = pytest.importorskip("scipy.optimize")
+    cases = generated_cases()
+    rng = random.Random(17)
+    for inst in cases[:24]:
+        # later IRR iterations solve LPs with many zero costs: heavily degenerate
+        for share in (0.3, 0.6):
+            zero = set(rng.sample(range(len(inst.edges)), round(share * len(inst.edges))))
+            cases.append(inst.with_costs([0 if e in zero else c for e, (_, _, c) in enumerate(inst.edges)]))
     for inst in cases:
         cols = enumerate_columns(inst, 3)
         rows = list(all_cut_rows(inst))
@@ -181,7 +197,27 @@ def test_objective_matches_highs_on_full_row_set():
                                          "dual_feasibility_tolerance": 1e-10})
         assert want.status == 0
         got = solve_lp(inst, cols).objective
-        assert abs(got - want.fun) <= 1e-9 * max(abs(got), abs(want.fun)), (got, want.fun)
+        assert relative_gap(got, want.fun) <= 1e-9, (got, want.fun)
+
+
+def test_objective_independent_of_cost_scale():
+    for inst in generated_cases():
+        want = solve_lp(inst, enumerate_columns(inst, 3)).objective
+        for scale in (F(10) ** -12, F(10) ** -9, F(10) ** 6):
+            scaled = inst.with_costs([c * scale for _, _, c in inst.edges])
+            got = solve_lp(scaled, enumerate_columns(scaled, 3)).objective / float(scale)
+            assert relative_gap(got, want) <= 1e-9, (scale, got, want)
+
+
+def test_warm_start_matches_cold_solve():
+    # solve_lp adds each cut to the tableau of the previous round; a cold
+    # solve of its final rows must reach the same optimum
+    for inst in generated_cases():
+        cols = enumerate_columns(inst, 3)
+        state = solve_lp(inst, cols)
+        supports = [row_support(cols, w) for w in state.rows]
+        _, cold = lp_core_solve(supports, len(cols), [float(c.power) for c in cols])
+        assert relative_gap(state.objective, cold) <= 1e-9, (state.objective, cold)
 
 
 def test_infeasible_without_columns():
