@@ -10,8 +10,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import sqrt
 
-from .graph import UnionFind
+from .graph import rooted_children, tree_fault
 from .trees import CostedTree, validate_full_component
+
+
+# most witness_stats trials: each one samples and checks a whole witness tree
+MAX_TRIALS = 100_000
 
 
 class AnalysisError(ValueError):
@@ -130,13 +134,9 @@ def classify_edges(tree: CostedTree) -> EdgeClassification:
     total_cost = tree.cost()
     if total_cost == 0:
         raise AnalysisError("zero-cost tree has no edge classification")
-    defining: dict[int, int] = {}
-    incident: dict[int, list[int]] = {}
-    for idx, (u, v, _) in enumerate(tree.edges):
-        incident.setdefault(u, []).append(idx)
-        incident.setdefault(v, []).append(idx)
-    for node, idxs in incident.items():
-        defining[node] = max(idxs, key=lambda e: (tree.edges[e][2], -e))
+    defining = {
+        node: max(ids, key=lambda e: (tree.edges[e][2], -e)) for node, ids in tree.adjacency.items()
+    }
     heavy, middle, light = [], [], []
     cost_h = Fraction(0)
     cost_m = Fraction(0)
@@ -220,12 +220,6 @@ def build_binary_tree(tree: CostedTree) -> MarkedBinaryTree:
     if len(tree.terminals) < 2:
         raise AnalysisError("binarization needs at least 2 terminals")
     next_id = max(tree.nodes) + 1
-
-    adj: dict[int, list[tuple[int, int]]] = {}
-    for idx, (u, v, _) in enumerate(tree.edges):
-        adj.setdefault(u, []).append((v, idx))
-        adj.setdefault(v, []).append((u, idx))
-
     root = next_id
     next_id += 1
     u0, v0, c0 = tree.edges[0]
@@ -237,15 +231,9 @@ def build_binary_tree(tree: CostedTree) -> MarkedBinaryTree:
     edge_cost: dict[int, Fraction] = {a0: c0, b0: c0}
     dummy: set[int] = set()
 
-    # rooted child lists on the original tree
-    stack = [(a0, b0), (b0, a0)]
-    raw_children: dict[int, list[tuple[int, int]]] = {}
-    while stack:
-        node, par = stack.pop()
-        kids = [(other, idx) for other, idx in sorted(adj.get(node, ())) if other != par]
-        raw_children[node] = kids
-        for other, _ in kids:
-            stack.append((other, node))
+    # rooted child lists on the original tree, split at edge 0
+    raw_children = rooted_children(tree.edges, a0)
+    raw_children[a0] = [(other, idx) for other, idx in raw_children[a0] if idx != 0]
 
     def attach(p: int, child: int, origs: tuple[int, ...], cost: Fraction, is_dummy: bool) -> None:
         parent[child] = p
@@ -257,7 +245,7 @@ def build_binary_tree(tree: CostedTree) -> MarkedBinaryTree:
 
     def binarize(node: int) -> None:
         nonlocal next_id
-        kids = raw_children.get(node, [])
+        kids = raw_children[node]
         if len(kids) <= 2:
             for other, idx in kids:
                 attach(node, other, (idx,), tree.edges[idx][2], False)
@@ -283,27 +271,19 @@ def build_binary_tree(tree: CostedTree) -> MarkedBinaryTree:
     binarize(a0)
     binarize(b0)
 
-    # shortcut single-child nodes (the root keeps both halves)
-    changed = True
-    while changed:
-        changed = False
-        for node in list(children):
-            kids = children.get(node, [])
-            if node != root and len(kids) == 1 and node in parent:
-                child = kids[0]
-                p = parent[node]
-                children[p] = [child if x == node else x for x in children[p]]
-                parent[child] = p
-                edge_origs[child] = edge_origs[node] + edge_origs[child]
-                edge_cost[child] = max(edge_cost[node], edge_cost[child])
-                if child in dummy or node in dummy:
-                    dummy.discard(child)  # merged edges carry original costs
-                del children[node]
-                del parent[node]
-                del edge_origs[node]
-                del edge_cost[node]
-                changed = True
-                break
+    # shortcut single-child nodes (the root keeps both halves); a splice
+    # changes no other node's child count, so one pass finds them all, and
+    # none is a dummy, since every dummy holder gets two children
+    for node in list(children):
+        kids = children[node]
+        if node != root and len(kids) == 1:
+            child = kids[0]
+            p = parent.pop(node)
+            children[p] = [child if x == node else x for x in children[p]]
+            parent[child] = p
+            edge_origs[child] = edge_origs.pop(node) + edge_origs[child]
+            edge_cost[child] = max(edge_cost.pop(node), edge_cost[child])
+            del children[node]
 
     levels = {root: 0}
     queue = [root]
@@ -360,13 +340,11 @@ class WitnessStructure:
             raise AnalysisError(
                 f"witness tree has {len(self.witness_edges)} edges for {len(terms)} terminals"
             )
-        dense = {t: i for i, t in enumerate(terms)}
-        uf = UnionFind(len(terms))
-        for a, b in self.witness_edges:
-            if not uf.union(dense[a], dense[b]):
-                raise AnalysisError("witness tree contains a cycle")
-        if not uf.joins(range(len(terms))):
+        fault = tree_fault(self.witness_edges, terms)
+        if fault == "disconnected":
             raise AnalysisError("witness tree is disconnected")
+        if fault is not None:
+            raise AnalysisError("witness tree contains a cycle")
         for orig in range(len(self.sbin.source.edges)):
             if not self.witness_set(orig):
                 raise AnalysisError(f"empty witness set for edge {orig}")
@@ -443,11 +421,10 @@ def witness_stats(
     """
     if trials < 1:
         raise AnalysisError("trials must be >= 1")
+    if trials > MAX_TRIALS:
+        raise AnalysisError(f"trials must be at most {MAX_TRIALS}, got {trials}")
     sbin = build_binary_tree(tree)
-    incident: list[tuple[Fraction, int]] = []
-    for idx, (a, b, c) in enumerate(tree.edges):
-        if v in (a, b):
-            incident.append((c, idx))
+    incident = [(tree.edges[idx][2], idx) for idx in tree.adjacency.get(v, ())]
     d_v = len(incident)
     if d_v < 3:
         raise AnalysisError(f"node {v} has degree {d_v} < 3")

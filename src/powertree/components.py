@@ -11,7 +11,7 @@ Realizations whose union contains a cycle are discarded, not repaired.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb
@@ -35,9 +35,6 @@ class Component:
     sink: int | None
     edges: tuple[int, ...]
     power: Fraction
-
-    def with_sink(self, sink: int) -> "Component":
-        return replace(self, sink=sink)
 
 
 def _labeled_trees(size: int, min_degree_from: int):
@@ -369,6 +366,5 @@ def enumerate_columns(instance: Instance, k: int) -> list[Component]:
                     comp = min_power_component(instance, Q, k_cap=k)
             except ComponentError:
                 continue
-            for s in subset:
-                columns.append(comp.with_sink(s))
+            columns.extend(Component(Q, s, comp.edges, comp.power) for s in subset)
     return columns

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil
 
-from .graph import connects
+from .graph import connects, rooted_children
 from .trees import CostedTree, TreeError, validate_full_component
 
 EdgeT = tuple[int, int, Fraction]
@@ -36,18 +36,6 @@ class ComponentGraph:
     is_tree: bool
 
 
-def _edge_key(u: int, v: int) -> tuple[int, int]:
-    return (u, v) if u < v else (v, u)
-
-
-def _part_from_edges(edges, terminals: frozenset[int]) -> CostedTree:
-    nodes = set()
-    for u, v, _ in edges:
-        nodes.add(u)
-        nodes.add(v)
-    return CostedTree(tuple(edges), frozenset(t for t in terminals if t in nodes))
-
-
 def attach_dummy_leaves(tree: CostedTree) -> CostedTree:
     """Append a cost-0 pendant to each terminal and move terminal status to it.
 
@@ -64,48 +52,26 @@ def attach_dummy_leaves(tree: CostedTree) -> CostedTree:
     return CostedTree(tuple(edges), frozenset(new_terms))
 
 
-def _rooted(edges: list[EdgeT], root: int):
-    """Parent/children maps of the tree rooted at `root`."""
-    adj: dict[int, list[tuple[int, Fraction]]] = {}
-    for u, v, c in edges:
-        adj.setdefault(u, []).append((v, c))
-        adj.setdefault(v, []).append((u, c))
-    parent: dict[int, tuple[int, Fraction] | None] = {root: None}
-    children: dict[int, list[tuple[int, Fraction]]] = {}
-    order = [root]
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        kids = []
-        for other, c in sorted(adj.get(node, ())):
-            if node in parent and parent[node] is not None and other == parent[node][0]:
-                continue
-            if other in parent:
-                continue
-            parent[other] = (node, c)
-            kids.append((other, c))
-            stack.append(other)
-            order.append(other)
-        children[node] = kids
-    return parent, children, order
+def _downward(edges, children) -> dict[int, EdgeT]:
+    """Each edge of a rooted tree, by id, oriented from parent to child."""
+    return {eid: (x, y, edges[eid][2]) for x, kids in children.items() for y, eid in kids}
 
 
-def _descent(children, start: int, in_cost: Fraction):
+def _descent(children, cost, start: int, in_cost: Fraction):
     """Min-power continuation of a root-to-leaf path entering `start`.
 
-    Returns (power paid from `start` downward, path edges); the caller adds
-    the split node's own payment.
+    Returns (power paid from `start` downward, path edge ids); the caller
+    adds the split node's own payment.
     """
-    kids = children.get(start, [])
+    kids = children[start]
     if not kids:
         return in_cost, ()
     best = None
-    for w, c in kids:
-        sub_val, sub_edges = _descent(children, w, c)
-        val = max(in_cost, c) + sub_val
-        cand = (val, ((start, w, c),) + sub_edges)
-        if best is None or cand[0] < best[0]:
-            best = cand
+    for w, eid in kids:
+        sub_val, sub_ids = _descent(children, cost, w, cost[eid])
+        val = max(in_cost, cost[eid]) + sub_val
+        if best is None or val < best[0]:
+            best = (val, (eid,) + sub_ids)
     return best
 
 
@@ -128,8 +94,8 @@ def bounded_degree_decompose(tree: CostedTree, delta: int) -> Decomposition:
     current: list[EdgeT] = list(tree.edges)
 
     while True:
-        parent, children, order = _rooted(current, root)
-        degree = {node: len(children[node]) + (0 if parent[node] is None else 1) for node in children}
+        children = rooted_children(current, root)
+        degree = {node: len(kids) + (node != root) for node, kids in children.items()}
         if max(degree.values()) <= delta:
             break
         # smallest-id split node: degree > delta, all strict descendants within cap
@@ -151,59 +117,44 @@ def bounded_degree_decompose(tree: CostedTree, delta: int) -> Decomposition:
         if split is None:
             raise TreeError("internal error: no split node despite degree violation")
 
-        kids = sorted(children[split], key=lambda wc: (wc[1], wc[0]))
-        blocks: list[list[tuple[int, Fraction]]] = []
-        rest = list(kids)
+        cost = [c for _, _, c in current]
+        down = _downward(current, children)
+        kids = sorted(children[split], key=lambda we: (cost[we[1]], we[0]))
+        blocks: list[list[tuple[int, int]]] = []
+        rest = kids
         while len(rest) > delta - 2:
             blocks.append(rest[:delta_prime])
             rest = rest[delta_prime:]
         # rest is the root-side block V_h and stays in the root component
 
-        def subtree_edges(w: int) -> list[EdgeT]:
-            out = []
-            stack = [w]
-            while stack:
-                x = stack.pop()
-                for y, c in children[x]:
-                    out.append((x, y, c))
-                    stack.append(y)
-            return out
-
-        new_parts: list[list[EdgeT]] = []
-        removed_keys: set[tuple[int, int]] = set()
+        # parts as {edge id: edge}: insertion keeps the edge order, keys dedupe
+        new_parts: list[dict[int, EdgeT]] = []
         for block in blocks:
-            part = []
-            for w, c in block:
-                part.append((split, w, c))
-                part.extend(subtree_edges(w))
+            part = {}
+            for w, eid in block:
+                part[eid] = down[eid]
+                stack = [w]
+                while stack:
+                    x = stack.pop()
+                    for y, e in children[x]:
+                        part[e] = down[e]
+                        stack.append(y)
             new_parts.append(part)
-            for u, v, _ in part:
-                removed_keys.add(_edge_key(u, v))
+        removed = {eid for part in new_parts for eid in part}
+        root_part = {eid: e for eid, e in enumerate(current) if eid not in removed}
 
         # the appended path reconnects consecutive parts in the component graph
-        appended: list[list[EdgeT]] = []
-        for block in blocks:
-            best = None
-            for idx, (w, c) in enumerate(block):
-                val, edges = _descent(children, w, c)
-                cand = (val, idx, ((split, w, c),) + edges)
-                if best is None or cand[:2] < best[:2]:
-                    best = cand
-            appended.append(list(best[2]))
-
-        root_part = [e for e in current if _edge_key(e[0], e[1]) not in removed_keys]
-        for i in range(len(blocks)):
+        for i, block in enumerate(blocks):
+            descents = [_descent(children, cost, w, cost[eid]) for w, eid in block]
+            j = min(range(len(block)), key=lambda k: descents[k][0])
             target = new_parts[i + 1] if i + 1 < len(new_parts) else root_part
-            have = {_edge_key(u, v) for u, v, _ in target}
-            for u, v, c in appended[i]:
-                if _edge_key(u, v) not in have:
-                    target.append((u, v, c))
-                    have.add(_edge_key(u, v))
-        parts.extend(new_parts)
-        current = root_part
+            for eid in (block[j][1],) + descents[j][1]:
+                target.setdefault(eid, down[eid])
+        parts.extend(list(part.values()) for part in new_parts)
+        current = list(root_part.values())
 
     parts.append(current)
-    part_trees = tuple(_part_from_edges(p, tree.terminals) for p in parts)
+    part_trees = tuple(CostedTree.induced(p, tree.terminals) for p in parts)
     total = sum((p.power() for p in part_trees), Fraction(0))
     return Decomposition(part_trees, tree, total)
 
@@ -230,22 +181,21 @@ def level_cut_parts(tree: CostedTree, h: int, q: int) -> list[CostedTree]:
     if not nonterms:
         raise TreeError("no non-terminal to root the level cut at")
     root = min(nonterms)
-    parent, children, order = _rooted(list(tree.edges), root)
+    children = rooted_children(tree.edges, root)
 
-    # contract degree-2 internal nodes (other than the root)
-    cchildren: dict[int, list[tuple[int, list[EdgeT]]]] = {}
+    # contract degree-2 internal nodes (other than the root); paths hold edge ids
+    cchildren: dict[int, list[tuple[int, list[int]]]] = {}
     clevel: dict[int, int] = {root: 0}
     cparent: dict[int, int | None] = {root: None}
 
-    def contracted_children(x: int) -> list[tuple[int, list[EdgeT]]]:
+    def contracted_children(x: int) -> list[tuple[int, list[int]]]:
         out = []
-        for w, c in children[x]:
-            path = [(x, w, c)]
+        for w, eid in children[x]:
+            path = [eid]
             end = w
             while end not in tree.terminals and len(children[end]) == 1:
-                nxt, c2 = children[end][0]
-                path.append((end, nxt, c2))
-                end = nxt
+                end, eid = children[end][0]
+                path.append(eid)
             out.append((end, path))
         return out
 
@@ -274,12 +224,12 @@ def level_cut_parts(tree: CostedTree, h: int, q: int) -> list[CostedTree]:
             top_cache[x] = got
         return got
 
-    groups: dict[int, list[tuple[int, int, list[EdgeT]]]] = {}
+    groups: dict[int, list[tuple[int, int, list[int]]]] = {}
     for x in cchildren:
         for end, path in cchildren[x]:
             groups.setdefault(top(x), []).append((x, end, path))
 
-    def descent_path(v: int) -> list[EdgeT]:
+    def descent_path(v: int) -> list[int]:
         # rightmost child, then leftmost descents to a leaf terminal
         kids = cchildren[v]
         end, path = max(kids, key=lambda kp: kp[0])
@@ -291,24 +241,16 @@ def level_cut_parts(tree: CostedTree, h: int, q: int) -> list[CostedTree]:
             node = nend
         return out
 
+    down = _downward(tree.edges, children)
     parts: list[CostedTree] = []
     for w in sorted(groups):
-        edges: list[EdgeT] = []
-        keys: set[tuple[int, int]] = set()
         members = groups[w]
-        lower_ends = {end for _, end, _ in members}
-        for _, _, path in members:
-            for u, v, c in path:
-                if _edge_key(u, v) not in keys:
-                    keys.add(_edge_key(u, v))
-                    edges.append((u, v, c))
-        for end in sorted(lower_ends):
+        ids = [eid for _, _, path in members for eid in path]
+        for end in sorted({end for _, end, _ in members}):
             if end in marked and cchildren.get(end):
-                for u, v, c in descent_path(end):
-                    if _edge_key(u, v) not in keys:
-                        keys.add(_edge_key(u, v))
-                        edges.append((u, v, c))
-        parts.append(_part_from_edges(edges, tree.terminals))
+                ids.extend(descent_path(end))
+        # dict.fromkeys drops repeated ids and keeps first-seen order
+        parts.append(CostedTree.induced([down[eid] for eid in dict.fromkeys(ids)], tree.terminals))
     return parts
 
 

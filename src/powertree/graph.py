@@ -1,13 +1,15 @@
-"""Graph primitives shared by the solvers: union-find, connectivity, leaf stripping.
+"""Graph primitives shared by the solvers: union-find, connectivity, leaf
+stripping, incidence, tree checks and tree rooting.
 
 Edges are tuples whose first two entries are the endpoints, such as an
-instance's (u, v, cost) triples. Node ids index a list, so they must be
-small non-negative integers; callers with sparse ids size or relabel.
+instance's (u, v, cost) triples, and an edge id is an index into the edge
+sequence. Where a node id indexes a list (`UnionFind`, `connects`) it must be
+a small non-negative integer; the other functions take any hashable ids.
 """
 
 from __future__ import annotations
 
-from typing import Collection, Iterable, Sequence
+from typing import Collection, Hashable, Iterable, Sequence
 
 
 class UnionFind:
@@ -65,12 +67,8 @@ def strip_leaves(edges: Sequence[Sequence[int]], edge_ids: Iterable[int], keep: 
     The result is the unique largest subgraph whose leaves all lie in
     `keep`, so the order of deletions does not matter.
     """
-    incident: dict[int, list[int]] = {}
     alive = set(edge_ids)
-    for eid in alive:
-        e = edges[eid]
-        incident.setdefault(e[0], []).append(eid)
-        incident.setdefault(e[1], []).append(eid)
+    incident = incidence(edges, alive)
     degree = {node: len(ids) for node, ids in incident.items()}
     queue = [node for node, d in degree.items() if d == 1 and node not in keep]
     while queue:
@@ -86,3 +84,52 @@ def strip_leaves(edges: Sequence[Sequence[int]], edge_ids: Iterable[int], keep: 
         if degree[other] == 1 and other not in keep:
             queue.append(other)
     return sorted(alive)
+
+
+def incidence(edges: Sequence[Sequence[int]], edge_ids: Iterable[int]) -> dict[int, list[int]]:
+    """Each endpoint of `edge_ids` mapped to its incident ids, in the order given."""
+    incident: dict[int, list[int]] = {}
+    for eid in edge_ids:
+        e = edges[eid]
+        incident.setdefault(e[0], []).append(eid)
+        incident.setdefault(e[1], []).append(eid)
+    return incident
+
+
+def tree_fault(edges: Sequence[Sequence[Hashable]], nodes: Iterable[Hashable] = ()) -> str | None:
+    """None if `edges` form one tree touching every node of `nodes`, else the
+    first fault in edge order: "self-loop", "cyclic" or "disconnected".
+
+    Node ids are relabelled to 0..n-1, so any hashable ids work.
+    """
+    dense: dict[Hashable, int] = {}
+    for v in nodes:
+        dense.setdefault(v, len(dense))
+    uf = UnionFind(len(dense) + 2 * len(edges))
+    for e in edges:
+        u, v = e[0], e[1]
+        if u == v:
+            return "self-loop"
+        if not uf.union(dense.setdefault(u, len(dense)), dense.setdefault(v, len(dense))):
+            return "cyclic"
+    return None if uf.joins(range(len(dense))) else "disconnected"
+
+
+def rooted_children(edges: Sequence[Sequence[int]], root: int) -> dict[int, list[tuple[int, int]]]:
+    """Each node of the tree `edges` rooted at `root` mapped to its
+    (child, edge id) pairs in ascending child order; leaves map to [].
+
+    The component of `root` in `edges` must be a tree.
+    """
+    incident = incidence(edges, range(len(edges)))
+    children: dict[int, list[tuple[int, int]]] = {}
+    stack = [(root, -1)]
+    while stack:
+        node, up = stack.pop()
+        kids = sorted(
+            (edges[eid][1] if edges[eid][0] == node else edges[eid][0], eid)
+            for eid in incident.get(node, ()) if eid != up
+        )
+        children[node] = kids
+        stack.extend((child, eid) for child, eid in kids)
+    return children

@@ -17,14 +17,43 @@ from .graph import UnionFind, connects
 # largest `nodes N` an instance file may declare: an `Instance` allocates
 # per-node structures up front, so a short file must not ask for more
 MAX_NODES = 100_000
+# most `edge` lines an instance file may hold
+MAX_EDGES = 500_000
+# most digits in a cost's numerator or denominator: CPython's default limit
+# on int -> str conversion, so `format_cost` can print every accepted cost
+MAX_COST_DIGITS = 4300
+_PRINTABLE = 10**MAX_COST_DIGITS
 
 
 class InstanceError(ValueError):
     """Raised for malformed instance files or invalid instance data."""
 
 
+def _digit_bound(text: str) -> int:
+    """The most digits the numerator or the denominator of `Fraction(text)`
+    can have, read off the text before any number is built."""
+    mantissa, _, exponent = text.lower().partition("e")
+    exponent = exponent.replace("_", "")
+    if len(exponent.lstrip("+-0")) > 9:
+        return MAX_COST_DIGITS + 1  # |exponent| of 10^9 or more
+    try:
+        shift = int(exponent) if exponent else 0
+    except ValueError:
+        return 0  # malformed: Fraction rejects it
+    written = sum(ch.isdecimal() for ch in mantissa)
+    shift -= sum(ch.isdecimal() for ch in mantissa.partition(".")[2])
+    # the value is (the written digits) * 10^shift
+    return written + shift if shift >= 0 else max(written, 1 - shift)
+
+
 def parse_cost(token: str) -> Fraction:
-    """Parse a cost token exactly: decimal ("2.50" -> 5/2) or rational ("5/2")."""
+    """Parse a cost token exactly: decimal ("2.50" -> 5/2) or rational ("5/2").
+
+    A token that would build a numerator or denominator of more than
+    `MAX_COST_DIGITS` digits is rejected before any number is built.
+    """
+    if any(_digit_bound(part) > MAX_COST_DIGITS for part in token.split("/", 1)):
+        raise InstanceError(f"cost {token[:40]!r} has more than {MAX_COST_DIGITS} digits")
     try:
         if "/" in token:
             num, den = token.split("/", 1)
@@ -39,7 +68,11 @@ def parse_cost(token: str) -> Fraction:
 
 
 def format_cost(value: Fraction) -> str:
-    """Render a cost exactly: terminating decimal when possible, else "p/q"."""
+    """Render a cost exactly: terminating decimal when possible, else "p/q".
+
+    A decimal that would need more than `MAX_COST_DIGITS` digits falls back to
+    "p/q", so the output of any value `parse_cost` accepts parses back.
+    """
     num, den = value.numerator, value.denominator
     if den == 1:
         return str(num)
@@ -50,10 +83,12 @@ def format_cost(value: Fraction) -> str:
     while d % 5 == 0:
         d //= 5
         fives += 1
-    if d != 1:
-        return f"{num}/{den}"
     digits = max(twos, fives)
+    if d != 1 or digits >= MAX_COST_DIGITS:
+        return f"{num}/{den}"
     scaled = num * 10**digits // den
+    if scaled >= _PRINTABLE:
+        return f"{num}/{den}"
     text = str(scaled).rjust(digits + 1, "0")
     return f"{text[:-digits]}.{text[-digits:]}"
 
@@ -198,6 +233,8 @@ def parse_instance(text: str) -> Instance:
                 if node_count > MAX_NODES:
                     raise InstanceError(f"line {lineno}: {node_count} nodes exceed the limit of {MAX_NODES}")
             elif parts[0] == "edge" and len(parts) == 4:
+                if len(edges) == MAX_EDGES:
+                    raise InstanceError(f"line {lineno}: more than {MAX_EDGES} edges")
                 edges.append((int(parts[1]), int(parts[2]), parse_cost(parts[3])))
             elif parts[0] == "terminals" and len(parts) >= 2:
                 terminals = {int(p) for p in parts[1:]}

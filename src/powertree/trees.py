@@ -10,9 +10,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
-from .graph import UnionFind, strip_leaves
+from .graph import incidence, strip_leaves, tree_fault
 from .instance import Instance, edge_set_power
 
 
@@ -24,22 +24,16 @@ class TreeError(ValueError):
 class CostedTree:
     edges: tuple[tuple[int, int, Fraction], ...]
     terminals: frozenset[int]
-    adjacency: dict = field(init=False, repr=False, compare=False)
+    adjacency: dict = field(init=False, repr=False, compare=False)  # node -> incident edge ids
 
     def __post_init__(self) -> None:
-        adj: dict[int, list[tuple[int, Fraction]]] = {}
-        dense: dict[int, int] = {}  # node ids are arbitrary; the union-find needs 0..n-1
-        uf = UnionFind(2 * len(self.edges))
-        for u, v, c in self.edges:
-            if u == v:
-                raise TreeError(f"self-loop at {u}")
-            if not uf.union(dense.setdefault(u, len(dense)), dense.setdefault(v, len(dense))):
-                raise TreeError("edge set is cyclic")
-            adj.setdefault(u, []).append((v, c))
-            adj.setdefault(v, []).append((u, c))
+        fault = tree_fault(self.edges)
+        if fault == "self-loop":
+            raise TreeError(f"self-loop at {next(u for u, v, _ in self.edges if u == v)}")
+        if fault is not None:
+            raise TreeError(f"edge set is {fault}")
+        adj = incidence(self.edges, range(len(self.edges)))
         if self.edges:
-            if not uf.joins(dense.values()):
-                raise TreeError("edge set is disconnected")
             missing = self.terminals - adj.keys()
             if missing:
                 raise TreeError(f"terminals {sorted(missing)} not in tree")
@@ -64,13 +58,15 @@ class CostedTree:
         return sum((c for _, _, c in self.edges), Fraction(0))
 
     @staticmethod
-    def from_instance(instance: Instance, edge_ids: Sequence[int]) -> "CostedTree":
-        edges = tuple(instance.edges[e] for e in edge_ids)
+    def induced(edges: Sequence[tuple[int, int, Fraction]], terminals: Iterable[int]) -> "CostedTree":
+        """The tree on `edges` whose terminals are the members of `terminals` it touches."""
         nodes = {u for u, _, _ in edges} | {v for _, v, _ in edges}
-        terms = frozenset(t for t in instance.terminals if t in nodes)
-        if not terms:
-            terms = frozenset(instance.terminals)
-        return CostedTree(edges, terms)
+        return CostedTree(tuple(edges), frozenset(t for t in terminals if t in nodes))
+
+    @staticmethod
+    def from_instance(instance: Instance, edge_ids: Sequence[int]) -> "CostedTree":
+        tree = CostedTree.induced([instance.edges[e] for e in edge_ids], instance.terminals)
+        return tree if tree.terminals else CostedTree(tree.edges, frozenset(instance.terminals))
 
 
 def validate_full_component(tree: CostedTree) -> None:
@@ -116,13 +112,10 @@ def random_full_component(
     for i in range(1, internal_count):
         edges.append((rng.randrange(i), i, Fraction(rng.randint(1, cost_max))))
     # every internal leaf of that skeleton must receive a terminal
-    deg = {i: 0 for i in range(internal_count)}
-    for u, v, _ in edges:
-        deg[u] += 1
-        deg[v] += 1
+    incident = incidence(edges, range(len(edges)))
     next_id = internal_count
     terminals: list[int] = []
-    forced = [i for i in range(internal_count) if deg[i] <= 1]
+    forced = [i for i in range(internal_count) if len(incident.get(i, ())) <= 1]
     # internal_count <= t_count - 1 bounds len(forced) below t_count
     hosts = forced + [rng.randrange(internal_count) for _ in range(t_count - len(forced))]
     for host in hosts:

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from powertree.analysis import (
+    MAX_TRIALS,
     AnalysisError,
     EdgeClassification,
     build_binary_tree,
@@ -230,3 +231,7 @@ def test_witness_stats_preconditions():
     with pytest.raises(AnalysisError, match="not unique"):
         # i = d(v) - 1 takes every child edge: no leftover leaf d' exists
         witness_stats(tree, 0, 4, trials=10, seed=0)
+    with pytest.raises(AnalysisError, match="trials must be >= 1"):
+        witness_stats(tree, 0, 1, trials=0, seed=0)
+    with pytest.raises(AnalysisError, match=f"at most {MAX_TRIALS}"):
+        witness_stats(tree, 0, 1, trials=MAX_TRIALS + 1, seed=0)

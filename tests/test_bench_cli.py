@@ -1,5 +1,6 @@
 import json
 import re
+import time
 
 import pytest
 
@@ -184,3 +185,10 @@ def test_cli_analyze_witness(tmp_path, capsys):
     record = json.loads(capsys.readouterr().out)
     assert record["trials"] == 400
     assert abs(record["freq_s_equals_d"] - 0.25) < 0.1
+    # an oversized trial count is a structured error, not an endless loop
+    start = time.perf_counter()
+    assert main(["analyze", "witness", str(ipath), "--tree", str(tpath),
+                 "--node", "0", "--i", "2", "--trials", "1000000000000", "--seed", "3"]) == 1
+    assert time.perf_counter() - start < 1.0
+    err = json.loads(capsys.readouterr().err)
+    assert err["type"] == "AnalysisError" and "trials must be at most" in err["error"]

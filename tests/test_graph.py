@@ -5,7 +5,7 @@ import pytest
 
 from oracles import extract_tree_reference, strip_leaves_reference
 from powertree.generators import GENERATOR_KINDS, generate
-from powertree.graph import UnionFind, connects, strip_leaves
+from powertree.graph import UnionFind, connects, rooted_children, strip_leaves, tree_fault
 from powertree.pruning import extract_tree
 from powertree.trees import CostedTree, TreeError, prune_nonterminal_leaves
 
@@ -31,6 +31,30 @@ def test_strip_leaves_keeps_paths_between_kept_nodes():
     assert strip_leaves(edges, range(5), {0, 2}) == [0, 1]
     assert strip_leaves(edges, range(5), {4}) == []
     assert strip_leaves(edges, range(5), {0, 1, 2, 3, 4, 5, 6}) == [0, 1, 2, 3, 4]
+
+
+def test_rooted_children_single_node():
+    assert rooted_children([], 5) == {5: []}
+
+
+def test_rooted_children_order_and_edge_ids():
+    # star at 4 listed out of child order, with a path 1-6 below child 1
+    edges = [(4, 9, 1), (2, 4, 1), (4, 1, 1), (6, 1, 1)]
+    assert rooted_children(edges, 4) == {4: [(1, 2), (2, 1), (9, 0)], 1: [(6, 3)], 2: [], 6: [], 9: []}
+
+
+def test_rooted_children_leaf_root():
+    edges = [(4, 9, 1), (2, 4, 1), (4, 1, 1), (6, 1, 1)]
+    assert rooted_children(edges, 6) == {6: [(1, 3)], 1: [(4, 2)], 4: [(2, 1), (9, 0)], 2: [], 9: []}
+
+
+def test_tree_fault_first_fault_in_edge_order():
+    assert tree_fault([]) is None and tree_fault([], ["a"]) is None
+    assert tree_fault([(-3, "x"), ("x", 7)]) is None
+    assert tree_fault([(0, 1), (1, 0), (2, 2)]) == "cyclic"
+    assert tree_fault([(0, 1), (2, 2), (1, 0)]) == "self-loop"
+    assert tree_fault([(0, 1), (2, 3)]) == "disconnected"
+    assert tree_fault([(0, 1)], [0, 1, 5]) == "disconnected"
 
 
 def _instances():
@@ -74,3 +98,6 @@ def test_costed_tree_relabels_arbitrary_ids():
         CostedTree(((-2, 9, F(1)), (9, 4, F(1)), (4, -2, F(1))), frozenset())
     with pytest.raises(TreeError, match="disconnected"):
         CostedTree(((-2, 9, F(1)), (4, 5, F(1))), frozenset())
+    with pytest.raises(TreeError, match="self-loop at 4"):
+        CostedTree(((-2, 9, F(1)), (4, 4, F(1)), (9, -2, F(1))), frozenset())
+    assert tree.adjacency[0] == (0, 1, 3)

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -7,8 +8,11 @@ from powertree.exact import exact_min_power
 from powertree.generators import generate
 from powertree.instance import (
     Instance,
+    MAX_COST_DIGITS,
     InstanceError,
     evaluate,
+    format_cost,
+    parse_cost,
     parse_instance,
     reduce_cost_to_power,
     serialize,
@@ -46,6 +50,34 @@ def test_parse_decimal_cost_exact():
 def test_parse_diagnostics(text, pattern):
     with pytest.raises(InstanceError, match=pattern):
         parse_instance(text)
+
+
+def test_oversized_cost_rejected_before_it_is_built():
+    # "1e10000000" alone once took seconds to parse, and "1e1000000" parsed
+    # to a number that format_cost could not print
+    for token in ["1e10000000", "1e1000000", "1e4300", "1e-4300", "1e1_000_000",
+                  "9" * 4301, "1/" + "7" * 4301, "." + "1" * 4301]:
+        start = time.perf_counter()
+        with pytest.raises(InstanceError, match=f"more than {MAX_COST_DIGITS} digits"):
+            parse_cost(token)
+        with pytest.raises(InstanceError, match=f"more than {MAX_COST_DIGITS} digits"):
+            parse_instance(f"nodes 2\nedge 0 1 {token}\nterminals 0 1\nroot 0\n")
+        assert time.perf_counter() - start < 1.0, token[:20]
+
+
+def test_accepted_costs_round_trip():
+    # the largest accepted numerators and denominators, and decimals whose
+    # expansion would pass the digit limit (printed as p/q instead)
+    for token in ["0", "2.50", "5/2", "1/3", "1e4299", "1e-4299", "9" * 4300, "." + "1" * 4299,
+                  "1/" + "7" * 4300, "7" * 4300 + "/1024", "1/" + str(2**14000)]:
+        value = parse_cost(token)
+        assert parse_cost(format_cost(value)) == value, token[:20]
+
+
+def test_edge_count_limit(monkeypatch):
+    monkeypatch.setattr("powertree.instance.MAX_EDGES", 2)
+    with pytest.raises(InstanceError, match="line 4: more than 2 edges"):
+        parse_instance("nodes 3\nedge 0 1 1\nedge 1 2 1\nedge 0 2 1\nterminals 0 2\nroot 0\n")
 
 
 def test_evaluate_single_edge():

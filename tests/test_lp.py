@@ -183,21 +183,29 @@ def test_objective_matches_highs_on_full_row_set():
         for share in (0.3, 0.6):
             zero = set(rng.sample(range(len(inst.edges)), round(share * len(inst.edges))))
             cases.append(inst.with_costs([0 if e in zero else c for e, (_, _, c) in enumerate(inst.edges)]))
+    # spanning, with costs spread over 24 decades: HiGHS on the raw costs
+    # stops 7.6e-6 (relative) above the optimum here
+    inst = generate("euclidean-powerlaw", 8, 8, 11, exponent=4)
+    rng = random.Random(11)
+    cases.append(inst.with_costs([c * F(10) ** rng.randint(-24, 0) for _, _, c in inst.edges]))
     for inst in cases:
         cols = enumerate_columns(inst, 3)
         rows = list(all_cut_rows(inst))
         cover = np.zeros((len(rows), len(cols)))
         for i, w in enumerate(rows):
             cover[i, row_support(cols, w)] = 1.0
-        # HiGHS's default 1e-7 feasibility tolerances are absolute: on instances
-        # whose powers are all tiny it stops above the optimum
-        want = optimize.linprog([float(c.power) for c in cols], A_ub=-cover, b_ub=-np.ones(len(rows)),
+        # HiGHS's feasibility tolerances are absolute (1e-7 by default): on
+        # instances whose powers are all tiny it stops above the optimum, so
+        # it gets the powers divided by the largest and tolerances of 1e-10
+        powers = np.array([float(c.power) for c in cols])
+        scale = powers.max() or 1.0
+        want = optimize.linprog(powers / scale, A_ub=-cover, b_ub=-np.ones(len(rows)),
                                 bounds=(0, None), method="highs",
                                 options={"primal_feasibility_tolerance": 1e-10,
                                          "dual_feasibility_tolerance": 1e-10})
         assert want.status == 0
         got = solve_lp(inst, cols).objective
-        assert relative_gap(got, want.fun) <= 1e-9, (got, want.fun)
+        assert relative_gap(got, want.fun * scale) <= 1e-9, (got, want.fun * scale)
 
 
 def test_objective_independent_of_cost_scale():

@@ -17,6 +17,13 @@ differ in anything else. Records:
   pair       min_power_component on every terminal pair
   lp         solve_lp rows, x and objective history
   bench      bench-oracle suite CSVs without the wall_time_s column
+  analysis   on 150 seeds of three tree families (random full components,
+             degree-capped ones with 28-49 terminals, and dummy-leaf
+             completions of random trees with internal terminals):
+             attach_dummy_leaves, bounded_degree_decompose (delta 3-6),
+             h_power_decompose and level_cut_parts (h = 3, 4), component_graph,
+             build_binary_tree, sample_witness, witness_stats (5 trials) and
+             classify_edges, raising calls included
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ from __future__ import annotations
 import json
 import random
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -35,6 +43,105 @@ def emit(kind: str, key, value) -> None:
 
 def tree_record(tree) -> list:
     return [list(tree.edges), str(tree.total_power), str(tree.total_cost)]
+
+
+def costed_record(tree) -> list:
+    return [[[u, v, str(c)] for u, v, c in tree.edges], sorted(tree.terminals)]
+
+
+def items(mapping) -> list:
+    return sorted([k, sorted(v) if isinstance(v, (set, frozenset)) else v] for k, v in mapping.items())
+
+
+def analysis_records() -> None:
+    from dataclasses import asdict
+
+    from powertree.analysis import build_binary_tree, classify_edges, sample_witness, witness_stats
+    from powertree.decomposition import (
+        attach_dummy_leaves, bounded_degree_decompose, component_graph, h_power_decompose, level_cut_parts,
+    )
+    from powertree.trees import CostedTree, random_full_component
+
+    def record(key, fn, *args):
+        try:
+            value = fn(*args)
+        except ValueError as exc:  # recorded: both checkouts must fail alike
+            emit("analysis", key, f"{type(exc).__name__}: {exc}")
+            return None
+        return value
+
+    def decomposition(key, dec):
+        if dec is not None:
+            graph = component_graph(dec)
+            emit("analysis", key, [[costed_record(p) for p in dec.parts], str(dec.total_power), dec.q,
+                                   [graph.center_count, list(graph.terminals), list(graph.edges), graph.is_tree]])
+
+    def random_tree(seed):
+        # random recursive tree whose leaves and some inner nodes are terminals
+        rng = random.Random(seed)
+        n = rng.randint(2, 14)
+        edges = tuple((rng.randrange(i), i, Fraction(rng.randint(0, 9))) for i in range(1, n))
+        deg = [0] * n
+        for u, v, _ in edges:
+            deg[u] += 1
+            deg[v] += 1
+        terms = {v for v in range(n) if deg[v] <= 1 or rng.random() < 0.3}
+        return CostedTree(edges, frozenset(terms))
+
+    for seed in range(150):
+        families = [
+            ("full", random_full_component(95_000 + seed)),
+            ("capped", random_full_component(96_000 + seed, terminal_count=28 + seed % 22,
+                                             degree_cap=3 + seed % 3)),
+        ]
+        raw = random_tree(97_000 + seed)
+        emit("analysis", ["raw", seed], costed_record(raw))
+        for name, fn, args in (("raw-binary", build_binary_tree, (raw,)),
+                               ("raw-degree", bounded_degree_decompose, (raw, 3))):
+            if record([name, seed], fn, *args) is not None:
+                emit("analysis", [name, seed], "ok")
+        families.append(("dummy", attach_dummy_leaves(raw)))
+        for fam, tree in families:
+            key = [fam, seed]
+            emit("analysis", key + ["tree"], costed_record(tree))
+            cls = record(key + ["classify"], classify_edges, tree)
+            if cls is not None:
+                emit("analysis", key + ["classify"], [list(cls.heavy), list(cls.middle), list(cls.light),
+                                                      str(cls.gamma_h), str(cls.gamma_m), str(cls.alpha)])
+            for delta in range(3, 7):
+                decomposition(key + ["degree", delta], record(key + ["degree", delta],
+                                                              bounded_degree_decompose, tree, delta))
+            for h in (3, 4):
+                decomposition(key + ["hpower", h], record(key + ["hpower", h], h_power_decompose, tree, h))
+                for q in range(h):
+                    parts = record(key + ["level", h, q], level_cut_parts, tree, h, q)
+                    if parts is not None:
+                        emit("analysis", key + ["level", h, q], [costed_record(p) for p in parts])
+            if seed < 5:  # invalid parameters
+                for bad, fn, args in (("delta", bounded_degree_decompose, (tree, 2)),
+                                      ("h", h_power_decompose, (tree, 2)),
+                                      ("q", h_power_decompose, (tree, 3, "x")),
+                                      ("level-q", level_cut_parts, (tree, 3, 3)),
+                                      ("trials", witness_stats, (tree, tree.nodes[0], 1, 0, seed))):
+                    record(key + ["bad", bad], fn, *args)
+            sbin = record(key + ["binary"], build_binary_tree, tree)
+            if sbin is None:
+                continue
+            emit("analysis", key + ["binary"], [
+                sbin.root, items(sbin.parent), items(sbin.children), items(sbin.edge_origs),
+                [[k, str(c)] for k, c in sorted(sbin.edge_cost.items())], sorted(sbin.dummy_edges),
+                items(sbin.levels), sorted(sbin.terminals), items(sbin.orig_to_bin),
+            ])
+            for ws_seed in (seed, seed + 1):
+                ws = sample_witness(sbin, ws_seed)
+                emit("analysis", key + ["witness", ws_seed],
+                     [sorted(ws.marks), [list(e) for e in ws.witness_edges], items(ws.witness_map)])
+            inner = [v for v in tree.nodes if v not in tree.terminals][:2] + [min(tree.terminals)]
+            for v in inner:
+                for i in (1, 2):
+                    rep = record(key + ["stats", v, i], witness_stats, tree, v, i, 5, seed)
+                    if rep is not None:
+                        emit("analysis", key + ["stats", v, i], sorted(asdict(rep).items()))
 
 
 def main(src: str) -> None:
@@ -110,6 +217,8 @@ def main(src: str) -> None:
     for u in range(6):
         report = run_bench(parse_config(w.suite_text(1, u)))
         emit("bench", u, BenchPlan.signature(report))
+
+    analysis_records()
 
 
 if __name__ == "__main__":
