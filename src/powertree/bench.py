@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .analysis import theoretical_factor
-from .exact import SolverError, baseline_min_cost, exact_min_power
+from .exact import baseline_min_cost, exact_min_power
 from .generators import generate
 from .instance import Instance, PowerTree, format_cost, parse_instance
 from .irr import RunTrace, irr_solve
@@ -164,44 +164,42 @@ def run_bench(cfg: SuiteConfig) -> str:
     for idx, row in enumerate(rows):
         row["seed"] = derive_seed(cfg.seed, idx)
 
-    exact_power: dict[str, Fraction] = {}
-    if "exact" in cfg.solvers:
-        for label, inst in instances:
-            try:
-                exact_power[label] = exact_min_power(inst, cfg.mode).total_power
-            except SolverError:
-                pass  # past the node guard or disconnected: no ratios; the exact rows record why
-
-    def work(row: dict) -> dict:
-        out = {
-            "schema": SCHEMA, "row_type": "row", "instance": row["instance"],
-            "solver": row["solver"], "seed": str(row["seed"]), "power": "",
-            "cost": "", "ratio_to_exact": "", "iterations": "",
-            "wall_time_s": "", "mean_ratio": "", "max_ratio": "",
-            "factor_spanning": "", "factor_steiner": "", "error": "",
-        }
+    def work(row: dict) -> tuple[dict, Fraction | None]:
+        """The row's CSV record, and its power when the solver succeeded."""
+        out = dict.fromkeys(CSV_HEADER, "")
+        out.update(schema=SCHEMA, row_type="row", instance=row["instance"],
+                   solver=row["solver"], seed=str(row["seed"]))
+        power = None
         start = time.perf_counter()
         try:
             tree, trace = run_solver(row["inst_obj"], row["solver"], cfg.mode, cfg.k, row["seed"], cfg.max_iters)
-            power = tree.total_power
-            out["power"] = format_cost(power)
+            out["power"] = format_cost(tree.total_power)
             out["cost"] = format_cost(tree.total_cost)
             out["iterations"] = str(trace.iterations) if trace else ""
-            ref = exact_power.get(row["instance"])
-            if ref is not None and ref > 0:
-                out["ratio_to_exact"] = f"{float(power / ref):.6f}"
-            elif ref is not None and power == 0:
-                out["ratio_to_exact"] = "1.000000"
+            power = tree.total_power
         except Exception as exc:  # row-level failures never abort the suite
             out["error"] = f"{type(exc).__name__}: {exc}"
         out["wall_time_s"] = f"{time.perf_counter() - start:.4f}"
-        return out
+        return out, power
 
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            results = list(pool.map(work, rows))
-    else:
-        results = [work(r) for r in rows]
+    with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
+        solved = list(pool.map(work, rows))
+
+    # the exact solver is deterministic: every rep of an instance has the same optimum
+    exact_power = {out["instance"]: power for out, power in solved
+                   if out["solver"] == "exact" and power is not None}
+    for out, power in solved:
+        ref = exact_power.get(out["instance"])
+        if power is None or ref is None:
+            continue
+        try:
+            if ref > 0:
+                out["ratio_to_exact"] = f"{float(power / ref):.6f}"
+            elif power == 0:
+                out["ratio_to_exact"] = "1.000000"
+        except OverflowError as exc:  # a ratio past float range fails its row alone
+            out["error"] = f"{type(exc).__name__}: {exc}"
+    results = [out for out, _ in solved]
 
     # summary block: per-solver mean/max ratios plus the theoretical factors
     summary_rows = []
@@ -210,16 +208,14 @@ def run_bench(cfg: SuiteConfig) -> str:
             float(r["ratio_to_exact"]) for r in results
             if r["solver"] == solver and r["ratio_to_exact"]
         ]
-        summary = {
-            "schema": SCHEMA, "row_type": "summary", "instance": "ALL",
-            "solver": solver, "seed": "", "power": "", "cost": "",
-            "ratio_to_exact": "", "iterations": "", "wall_time_s": "",
-            "mean_ratio": f"{sum(ratios) / len(ratios):.6f}" if ratios else "",
-            "max_ratio": f"{max(ratios):.6f}" if ratios else "",
-            "factor_spanning": f"{float(theoretical_factor('spanning')):.7f}",
-            "factor_steiner": f"{theoretical_factor('steiner'):.7f}",
-            "error": "",
-        }
+        summary = dict.fromkeys(CSV_HEADER, "")
+        summary.update(
+            schema=SCHEMA, row_type="summary", instance="ALL", solver=solver,
+            mean_ratio=f"{sum(ratios) / len(ratios):.6f}" if ratios else "",
+            max_ratio=f"{max(ratios):.6f}" if ratios else "",
+            factor_spanning=f"{float(theoretical_factor('spanning')):.7f}",
+            factor_steiner=f"{theoretical_factor('steiner'):.7f}",
+        )
         summary_rows.append(summary)
 
     buffer = io.StringIO()

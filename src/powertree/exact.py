@@ -38,19 +38,14 @@ def exact_min_power(instance: Instance, mode: str = "steiner", node_guard: int =
     required = frozenset(range(instance.node_count)) if mode == "spanning" else instance.terminals
     if not connects(instance.node_count, instance.edges, required):
         raise SolverError("required nodes are disconnected")
-    if len(required) == 1 and mode == "steiner":
-        return evaluate(instance, [])
 
     edges = instance.edges
     m = len(edges)
     root = instance.root
 
-    # upper bound seed from the cost baseline keeps the search shallow
-    try:
-        seed_tree = baseline_min_cost(instance, mode)
-        best_power: Fraction | None = seed_tree.total_power
-    except SolverError:
-        best_power = None
+    # the first descent always takes the cheapest crossing edge (Prim's tree),
+    # so the search finds its own upper bound before it has to prune
+    best_power: Fraction | None = None
     best_edges: tuple[int, ...] | None = None
 
     in_tree = [False] * instance.node_count
@@ -131,10 +126,6 @@ def exact_min_power(instance: Instance, mode: str = "steiner", node_guard: int =
 
     recurse(Fraction(0), 1 if root in required else 0)
     if best_edges is None:
-        if best_power is not None:
-            # only the baseline seed was optimal and the search never matched it;
-            # cannot happen, but fail loudly rather than return a wrong tree
-            raise SolverError("internal error: search found no tree")
         raise SolverError("no feasible tree found")
     return evaluate(instance, best_edges)
 

@@ -7,10 +7,12 @@ terminals connected, no parallel edges, exact rational costs.
 
 from __future__ import annotations
 
+import math
 import random
+import sys
 from fractions import Fraction
 
-from .instance import Instance, InstanceError, reduce_cost_to_power
+from .instance import MAX_COST_DIGITS, MAX_EDGES, Instance, InstanceError, check_printable, reduce_cost_to_power
 
 GENERATOR_KINDS = ("uniform-random", "euclidean-powerlaw", "two-level", "reduction-wrapped")
 
@@ -58,43 +60,61 @@ def generate(
       two-level           sparse connected graph, costs drawn from {low, high}
       reduction-wrapped   uniform-random instance passed through the 3-path
                           min-cost -> min-power reduction
+
+    Parameters that would need more than `MAX_EDGES` node pairs, costs past
+    float range or `MAX_COST_DIGITS` digits, or an empty cost or point range
+    raise InstanceError before any work; so does a result whose powers could
+    not print (`check_printable`).
     """
     if kind not in GENERATOR_KINDS:
         raise InstanceError(f"unknown generator kind {kind!r}")
+    if nodes * (nodes - 1) // 2 > MAX_EDGES:
+        raise InstanceError(f"{nodes} nodes have more than {MAX_EDGES} node pairs")
     rng = random.Random(seed)
 
     if kind == "reduction-wrapped":
         base = generate("uniform-random", nodes, terminals, seed,
                         edge_prob=edge_prob, cost_max=cost_max)
-        return reduce_cost_to_power(base)
+        instance = reduce_cost_to_power(base)
+        check_printable(instance.edges)
+        return instance
+
+    if kind == "uniform-random" and cost_max < 1:
+        raise InstanceError(f"cost_max must be >= 1, got {cost_max}")
+    if kind == "euclidean-powerlaw":
+        if grid < 1 or grid * grid < nodes:
+            raise InstanceError(f"a {grid}x{grid} grid has fewer than {nodes} points")
+        reach = math.log10(max(2 * (grid - 1) ** 2, 1))  # log10 of the largest squared distance
+        if reach and abs(exponent) >= 2 * MAX_COST_DIGITS / reach:
+            raise InstanceError(f"exponent {exponent} gives costs of more than {MAX_COST_DIGITS} digits")
+        if reach and exponent % 2 and exponent > 2 * math.log10(sys.float_info.max) / reach:
+            raise InstanceError(f"exponent {exponent} gives distance powers past float range")
 
     term_set, root = _pick_terminals(rng, nodes, terminals)
 
     if kind == "uniform-random":
         pairs = _random_connected_edges(rng, nodes, edge_prob)
         edges = tuple((u, v, Fraction(rng.randint(1, cost_max))) for u, v in pairs)
-        return Instance(nodes, edges, term_set, root)
-
-    if kind == "two-level":
+    elif kind == "two-level":
         a, b = Fraction(low), Fraction(high)
         if a >= b:
             raise InstanceError(f"two-level requires a < b, got a={a} b={b}")
         pairs = _random_connected_edges(rng, nodes, edge_prob)
         edges = tuple((u, v, rng.choice((a, b))) for u, v in pairs)
-        return Instance(nodes, edges, term_set, root)
-
-    # euclidean-powerlaw: distinct grid points, complete graph
-    cells = rng.sample(range(grid * grid), nodes)
-    points = [(c % grid, c // grid) for c in cells]
-    edges_list: list[tuple[int, int, Fraction]] = []
-    for u in range(nodes):
-        for v in range(u + 1, nodes):
-            dx = points[u][0] - points[v][0]
-            dy = points[u][1] - points[v][1]
-            sq = dx * dx + dy * dy
-            if exponent % 2 == 0:
-                cost = Fraction(sq) ** (exponent // 2)
-            else:
-                cost = Fraction(round(float(sq) ** (exponent / 2), 6)).limit_denominator(10**6)
-            edges_list.append((u, v, cost))
-    return Instance(nodes, tuple(edges_list), term_set, root)
+    else:  # euclidean-powerlaw: distinct grid points, complete graph
+        cells = rng.sample(range(grid * grid), nodes)
+        points = [(c % grid, c // grid) for c in cells]
+        edges_list: list[tuple[int, int, Fraction]] = []
+        for u in range(nodes):
+            for v in range(u + 1, nodes):
+                dx = points[u][0] - points[v][0]
+                dy = points[u][1] - points[v][1]
+                sq = dx * dx + dy * dy
+                if exponent % 2 == 0:
+                    cost = Fraction(sq) ** (exponent // 2)
+                else:
+                    cost = Fraction(round(float(sq) ** (exponent / 2), 6)).limit_denominator(10**6)
+                edges_list.append((u, v, cost))
+        edges = tuple(edges_list)
+    check_printable(edges)
+    return Instance(nodes, edges, term_set, root)

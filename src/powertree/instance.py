@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Mapping, Sequence
 
 from .graph import UnionFind, connects
@@ -216,6 +217,27 @@ def evaluate(instance: Instance, edge_ids: Sequence[int]) -> PowerTree:
     return PowerTree(tuple(sorted(ids)), node_powers, total_power, total_cost)
 
 
+def check_printable(edges: Iterable[tuple[int, int, Fraction]]) -> None:
+    """Raise InstanceError unless every power and cost of every edge subset
+    prints with at most `MAX_COST_DIGITS` digits.
+
+    With L the lcm of the cost denominators, each such value is a fraction
+    whose denominator divides L and whose numerator is at most 2·L·Σc (a
+    power counts each edge at most at its two ends). Both bounds only grow
+    edge by edge, so the check stops at the first edge that reaches one.
+    """
+    common, scaled = 1, 0  # scaled = common * (sum of the costs so far)
+    for _, _, cost in edges:
+        grown = lcm(common, cost.denominator)
+        scaled = scaled * (grown // common) + cost.numerator * (grown // cost.denominator)
+        common = grown
+        if common >= _PRINTABLE:
+            raise InstanceError(f"the costs' common denominator has more than {MAX_COST_DIGITS} digits")
+        if 2 * scaled >= _PRINTABLE:
+            raise InstanceError(f"twice the total cost over the common denominator has more than "
+                                f"{MAX_COST_DIGITS} digits")
+
+
 def parse_instance(text: str) -> Instance:
     """Parse the instance file format (one directive per line, '#' comments)."""
     node_count: int | None = None
@@ -252,6 +274,7 @@ def parse_instance(text: str) -> Instance:
         raise InstanceError("missing 'terminals' directive")
     if root is None:
         raise InstanceError("missing 'root' directive")
+    check_printable(edges)
     return Instance(node_count, tuple(edges), frozenset(terminals), root)
 
 

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import re
 import time
@@ -77,6 +79,60 @@ def test_bench_solver_error_recorded_not_fatal():
     assert mst_row.split(",")[7] == ""  # no exact optimum, so no ratio
 
 
+ORACLE_SUITE = """
+seed = 3
+reps = 3
+mode = steiner
+instance gen:uniform-random nodes=7 terminals=4 seed=8
+instance gen:two-level nodes=8 terminals=3 seed=9
+solver exact
+solver mst
+solver steiner-cost
+"""
+
+
+def report_rows(report: str) -> list[dict]:
+    return list(csv.DictReader(io.StringIO(report)))
+
+
+def test_bench_solves_each_exact_row_once(monkeypatch):
+    import powertree.bench
+
+    calls = []
+    real = powertree.bench.exact_min_power
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr("powertree.bench.exact_min_power", counting)
+    rows = report_rows(run_bench(parse_config(ORACLE_SUITE)))
+    assert len(calls) == 3 * 2  # reps x instances, no pre-pass
+    data = [r for r in rows if r["row_type"] == "row"]
+    assert len(data) == 3 * 2 * 3 and all(r["ratio_to_exact"] and not r["error"] for r in data)
+    assert all(r["ratio_to_exact"] == "1.000000" for r in data if r["solver"] == "exact")
+    assert all(r["mean_ratio"] for r in rows if r["row_type"] == "summary")
+
+
+def test_bench_exact_exception_recorded_not_fatal(monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("stub failure")
+
+    monkeypatch.setattr("powertree.bench.exact_min_power", broken)
+    rows = report_rows(run_bench(parse_config(ORACLE_SUITE)))
+    data = [r for r in rows if r["row_type"] == "row"]
+    assert {r["error"] for r in data if r["solver"] == "exact"} == {"RuntimeError: stub failure"}
+    assert all(r["power"] and not r["error"] for r in data if r["solver"] != "exact")
+    assert not any(r["ratio_to_exact"] for r in data)
+    assert not any(r["mean_ratio"] for r in rows if r["row_type"] == "summary")
+
+
+def test_bench_thread_count_changes_no_row():
+    one = strip_wall_time(run_bench(parse_config(ORACLE_SUITE + "threads = 1\n")))
+    three = strip_wall_time(run_bench(parse_config(ORACLE_SUITE + "threads = 3\n")))
+    assert one == three
+
+
 def test_config_errors():
     with pytest.raises(BenchError, match="unknown solver"):
         parse_config("instance gen:uniform-random nodes=4 terminals=4 seed=1\nsolver nope\n")
@@ -149,6 +205,15 @@ def test_cli_gen_roundtrip(tmp_path, capsys):
     assert re.search(r"^nodes 6$", text, re.M)
     assert main(["path", str(out), "--from", "0", "--to", "5"]) == 0
     json.loads(capsys.readouterr().out)
+
+
+def test_cli_gen_bad_parameter_exits_1(capsys):
+    start = time.perf_counter()
+    assert main(["gen", "--kind", "uniform-random", "--nodes", "200000", "--terminals", "3",
+                 "--seed", "1"]) == 1
+    assert time.perf_counter() - start < 1.0
+    err = json.loads(capsys.readouterr().err)
+    assert err["type"] == "InstanceError" and "node pairs" in err["error"]
 
 
 def test_cli_decompose_and_analyze(tmp_path, capsys):

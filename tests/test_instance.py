@@ -74,6 +74,29 @@ def test_accepted_costs_round_trip():
         assert parse_cost(format_cost(value)) == value, token[:20]
 
 
+def test_unprintable_powers_rejected_at_parse():
+    # a power of 2c would need 4301 digits; two coprime denominators multiply
+    # into a 6001-digit common denominator of every sum of the two costs
+    big = 10**3000
+    for text in [f"nodes 2\nedge 0 1 {'9' * 4300}\nterminals 0 1\nroot 0\n",
+                 f"nodes 3\nedge 0 1 1/{big + 7}\nedge 1 2 1/{big + 9}\nterminals 0 2\nroot 0\n"]:
+        start = time.perf_counter()
+        with pytest.raises(InstanceError, match=f"more than {MAX_COST_DIGITS} digits"):
+            parse_instance(text)
+        assert time.perf_counter() - start < 1.0
+
+
+def test_accepted_instance_powers_print():
+    # at the bounds: 2c = 10^4300 - 2, and a common denominator of 4300 digits
+    half = (10**MAX_COST_DIGITS - 1) // 2
+    den = 10**(MAX_COST_DIGITS - 1) + 1
+    for text in [f"nodes 2\nedge 0 1 {half}\nterminals 0 1\nroot 0\n",
+                 f"nodes 3\nedge 0 1 1/{den}\nedge 1 2 2/{den}\nterminals 0 2\nroot 0\n"]:
+        tree = exact_min_power(parse_instance(text))
+        record = tree.to_record()
+        assert parse_cost(record["total_power"]) == tree.total_power
+
+
 def test_edge_count_limit(monkeypatch):
     monkeypatch.setattr("powertree.instance.MAX_EDGES", 2)
     with pytest.raises(InstanceError, match="line 4: more than 2 edges"):
@@ -199,3 +222,37 @@ def test_generate_deterministic():
 def test_generate_terminal_guard():
     with pytest.raises(InstanceError, match="terminal count"):
         generate("uniform-random", 3, 5, 0)
+
+
+@pytest.mark.parametrize("kind, params, pattern", [
+    ("uniform-random", dict(cost_max=0), "cost_max must be >= 1"),
+    ("reduction-wrapped", dict(cost_max=-3), "cost_max must be >= 1"),
+    ("euclidean-powerlaw", dict(grid=3), "a 3x3 grid has fewer than 10 points"),
+    ("euclidean-powerlaw", dict(grid=0), "a 0x0 grid"),
+    ("euclidean-powerlaw", dict(exponent=301), "past float range"),
+    ("euclidean-powerlaw", dict(exponent=3000), f"more than {MAX_COST_DIGITS} digits"),
+    ("euclidean-powerlaw", dict(exponent=-3000), f"more than {MAX_COST_DIGITS} digits"),
+    ("euclidean-powerlaw", dict(exponent=10**400), f"more than {MAX_COST_DIGITS} digits"),
+])
+def test_generator_parameter_limits(kind, params, pattern):
+    start = time.perf_counter()
+    with pytest.raises(InstanceError, match=pattern):
+        generate(kind, 10, 3, 1, **params)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_generator_node_pair_limit():
+    for kind in ("uniform-random", "euclidean-powerlaw", "two-level", "reduction-wrapped"):
+        start = time.perf_counter()
+        with pytest.raises(InstanceError, match="node pairs"):
+            generate(kind, 200_000, 3, 1)
+        assert time.perf_counter() - start < 1.0
+
+
+def test_generated_costs_that_would_not_print_are_rejected():
+    # each cost prints, but a sum of them would pass the digit limit
+    with pytest.raises(InstanceError, match="twice the total cost"):
+        generate("two-level", 6, 3, 1, low=5 * 10**4299 - 1, high=5 * 10**4299)
+    for exponent in (100, 101):  # large costs well inside the limits
+        inst = generate("euclidean-powerlaw", 4, 2, 1, exponent=exponent)
+        assert max(c for _, _, c in inst.edges) > 10**100

@@ -11,12 +11,17 @@ differ in anything else. Records:
   irr        irr_solve tree and full trace: 80 solves on each perfbench irr
              workload's generator, and the four generator kinds in both modes
   exact      exact_min_power, and the min-cost baselines through the bench
-             solver switch (steiner, spanning, and more than 12 terminals)
+             solver switch (steiner, spanning, and more than 12 terminals);
+             exact_min_power alone on the first 100 instances of each
+             perfbench irr workload in its mode, and on the 100 reduced
+             instances of acceptance criterion 2 (up to 31 nodes)
   extract    extract_tree on random edge subsets, raising calls included
   columns    enumerate_columns at k=4 (edges and power per column)
   pair       min_power_component on every terminal pair
   lp         solve_lp rows, x and objective history
-  bench      bench-oracle suite CSVs without the wall_time_s column
+  bench      bench-oracle suite CSVs without the wall_time_s column, on its
+             own pool and at threads = 1, a suite whose exact rows raise, and
+             one whose mst row's ratio to exact is past float range
   analysis   on 150 seeds of three tree families (random full components,
              degree-capped ones with 28-49 terminals, and dummy-leaf
              completions of random trees with internal terminals):
@@ -31,6 +36,7 @@ from __future__ import annotations
 import json
 import random
 import sys
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
@@ -151,6 +157,7 @@ def main(src: str) -> None:
     from powertree.bench import parse_config, run_bench, run_solver, with_mode
     from powertree.exact import SolverError
     from powertree.generators import GENERATOR_KINDS
+    from powertree.instance import reduce_cost_to_power
     from powertree.pruning import extract_tree
     from workloads import WORKLOADS, BenchPlan, derive
 
@@ -184,6 +191,18 @@ def main(src: str) -> None:
                     emit("exact", [kind, s, mode, solver], tree_record(tree))
                 except SolverError as exc:
                     emit("exact", [kind, s, mode, solver], f"SolverError: {exc}")
+    for name in ("irr-spanning", "irr-steiner-k4"):
+        w = WORKLOADS[name]
+        for j in range(100):
+            inst = pt.generate("uniform-random", w.nodes, w.terminals,
+                               derive(1, name, "instance", j), edge_prob=w.edge_prob)
+            emit("exact", [name, j], tree_record(pt.exact_min_power(with_mode(inst, w.mode), w.mode)))
+    for seed in range(100):  # the instances of tests/test_acceptance.py::test_criterion_02
+        rng = random.Random(50_000 + seed)
+        n = rng.randint(3, 8)
+        inst = pt.generate("uniform-random", n, rng.randint(2, n), 50_000 + seed, edge_prob=0.15, cost_max=9)
+        emit("exact", ["reduction", seed],
+             tree_record(pt.exact_min_power(reduce_cost_to_power(inst), "steiner", node_guard=40)))
     for s in range(6):
         inst = pt.generate("uniform-random", 14 + s % 3, 13 + s % 2, 900 + s, edge_prob=0.25, cost_max=5)
         emit("exact", ["many-terminals", s], tree_record(run_solver(inst, "steiner-cost", "steiner", 3, 0, None)[0]))
@@ -217,6 +236,24 @@ def main(src: str) -> None:
     for u in range(6):
         report = run_bench(parse_config(w.suite_text(1, u)))
         emit("bench", u, BenchPlan.signature(report))
+        serial = parse_config(w.suite_text(1, u + 6))
+        serial.threads = 1
+        emit("bench", ["threads-1", u + 6], BenchPlan.signature(run_bench(serial)))
+    # the 13-node instance is past the exact solver's guard: its exact rows
+    # raise and its rows get no ratio
+    report = run_bench(parse_config(
+        "seed = 5\nreps = 2\nthreads = 1\n"
+        "instance gen:uniform-random nodes=13 terminals=5 seed=3\n"
+        "instance gen:uniform-random nodes=8 terminals=4 seed=4\n"
+        "solver exact\nsolver mst\nsolver steiner-cost\nsolver irr\n"))
+    emit("bench", "exact-raises", BenchPlan.signature(report))
+    # a power ratio past float range fails its row alone
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "tiny.mpst"
+        tiny = "1/1" + "0" * 4000
+        path.write_text(f"nodes 4\nedge 0 1 {tiny}\nedge 1 2 {tiny}\nedge 0 2 1\nedge 2 3 1\nterminals 0 2\nroot 0\n")
+        report = run_bench(parse_config(f"threads = 1\ninstance file:{path}\nsolver exact\nsolver mst\n"))
+    emit("bench", "ratio-overflow", BenchPlan.signature(report))
 
     analysis_records()
 
