@@ -216,82 +216,70 @@ def _assemble(
 
 
 def _entering(instance: Instance, searches: dict, q: int):
-    """Terminal q's search states grouped by end node, each group sorted by
-    accrued power; computed once per q and kept in `searches`."""
+    """Terminal q's search states grouped by end node, each group a sorted list
+    of leg options (accrued power, entering edge id, entering edge cost, edge
+    path); computed once per q and kept in `searches`."""
     if q not in searches:
         states = capped_state_search(instance, q, Fraction(0))
-        by_node: dict[int, list[tuple[int, Fraction, tuple[int, ...]]]] = {}
+        by_node: dict[int, list[tuple[Fraction, int, Fraction, tuple[int, ...]]]] = {}
         for (node, eid), (power, _, _, edge_path) in states.items():
-            by_node.setdefault(node, []).append((eid, power, edge_path))
+            by_node.setdefault(node, []).append((power, eid, instance.cost(eid), edge_path))
         for opts in by_node.values():
-            opts.sort(key=lambda o: (o[1], o[0]))
+            opts.sort()
         searches[q] = by_node
     return searches[q]
+
+
+# a terminal junction's own leg: no edges, nothing accrued, nothing entering
+_EMPTY_LEG = [(0, None, 0, ())]
 
 
 def _component_three(instance: Instance, Q: frozenset[int], searches: dict) -> Component:
     """|Q| = 3 fast path: the optimal tree is a spider with one junction.
 
-    Enumerate the junction node c and the legs' entering edges; the sum of
-    per-leg accrued powers plus the junction's max equals the spider's power
-    when legs are disjoint and upper-bounds a contained tree otherwise, so
-    the minimum over candidates is exactly the optimum and the tree is
-    recovered by pruning the argmin leg union.
+    Enumerate the junction node c and the legs' entering edges (a terminal
+    junction's own leg is empty); the sum of per-leg accrued powers plus the
+    junction's max equals the spider's power when legs are disjoint and
+    upper-bounds a contained tree otherwise, so the minimum over candidates
+    is exactly the optimum. The tree is recovered by pruning the argmin leg
+    union, which never raises power, so its power is that minimum.
     """
     q_nodes = sorted(Q)
-    enter = {q: _entering(instance, searches, q) for q in q_nodes}
+    enter = [_entering(instance, searches, q) for q in q_nodes]
 
     best: tuple[Fraction, tuple[tuple[int, ...], ...]] | None = None
     for c in range(instance.node_count):
-        if c in Q:
-            legs = [q for q in q_nodes if q != c]
-            options = [enter[q].get(c) for q in legs]
-            if any(o is None for o in options):
-                continue
-            for e1, p1, path1 in options[0]:
-                if best is not None and p1 >= best[0]:
+        options = [_EMPTY_LEG if q == c else by_node.get(c) for q, by_node in zip(q_nodes, enter)]
+        if None in options:
+            continue
+        for p1, _, c1, path1 in options[0]:
+            if best is not None and p1 >= best[0]:
+                break
+            for p2, _, c2, path2 in options[1]:
+                p12 = p1 + p2
+                if best is not None and p12 >= best[0]:
                     break
-                for e2, p2, path2 in options[1]:
-                    if best is not None and p1 + p2 >= best[0]:
+                c12 = max(c1, c2)
+                for p3, _, c3, path3 in options[2]:
+                    if best is not None and p12 + p3 >= best[0]:
                         break
-                    value = p1 + p2 + max(instance.cost(e1), instance.cost(e2))
+                    value = p12 + p3 + max(c12, c3)
                     if best is None or value < best[0]:
-                        best = (value, (path1, path2))
-        else:
-            options = [enter[q].get(c) for q in q_nodes]
-            if any(o is None for o in options):
-                continue
-            for e1, p1, path1 in options[0]:
-                if best is not None and p1 >= best[0]:
-                    break
-                c1 = instance.cost(e1)
-                for e2, p2, path2 in options[1]:
-                    p12 = p1 + p2
-                    if best is not None and p12 >= best[0]:
-                        break
-                    c12 = max(c1, instance.cost(e2))
-                    for e3, p3, path3 in options[2]:
-                        if best is not None and p12 + p3 >= best[0]:
-                            break
-                        value = p12 + p3 + max(c12, instance.cost(e3))
-                        if best is None or value < best[0]:
-                            best = (value, (path1, path2, path3))
+                        best = (value, (path1, path2, path3))
     if best is None:
         raise ComponentError(f"terminals {sorted(Q)} cannot be connected")
     union: set[int] = set()
     for path in best[1]:
         union.update(path)
-    tree = extract_tree(instance, union, Q)
-    power = edge_set_power([instance.edges[e] for e in tree])
-    return Component(Q, None, tuple(tree), power)
+    return Component(Q, None, tuple(extract_tree(instance, union, Q)), best[0])
 
 
 def _component_pair(instance: Instance, Q: frozenset[int], searches: dict) -> Component:
     """|Q| = 2: the min-power path, ties by (accrued power, entering edge id)."""
     u, v = sorted(Q)
     best = None
-    for eid, power, edge_path in _entering(instance, searches, u).get(v, ()):
-        total = power + instance.cost(eid)
+    for power, _, cost, edge_path in _entering(instance, searches, u).get(v, ()):
+        total = power + cost
         if best is None or total < best[0]:
             best = (total, edge_path)
     if best is None:

@@ -12,7 +12,7 @@ import random
 import sys
 from fractions import Fraction
 
-from .instance import MAX_COST_DIGITS, MAX_EDGES, Instance, InstanceError, check_printable, reduce_cost_to_power
+from .instance import MAX_COST_DIGITS, MAX_EDGES, MAX_NODES, Instance, InstanceError, check_printable, reduce_cost_to_power
 
 GENERATOR_KINDS = ("uniform-random", "euclidean-powerlaw", "two-level", "reduction-wrapped")
 
@@ -63,8 +63,9 @@ def generate(
 
     Parameters that would need more than `MAX_EDGES` node pairs, costs past
     float range or `MAX_COST_DIGITS` digits, or an empty cost or point range
-    raise InstanceError before any work; so does a result whose powers could
-    not print (`check_printable`).
+    raise InstanceError before any work; so does a reduction past `MAX_NODES`
+    nodes or `MAX_EDGES` edges, and a result whose powers could not print
+    (`check_printable`).
     """
     if kind not in GENERATOR_KINDS:
         raise InstanceError(f"unknown generator kind {kind!r}")
@@ -75,6 +76,10 @@ def generate(
     if kind == "reduction-wrapped":
         base = generate("uniform-random", nodes, terminals, seed,
                         edge_prob=edge_prob, cost_max=cost_max)
+        m = len(base.edges)
+        if nodes + 2 * m > MAX_NODES or 3 * m > MAX_EDGES:
+            raise InstanceError(f"reducing {m} edges on {nodes} nodes passes the file limits "
+                                f"of {MAX_NODES} nodes and {MAX_EDGES} edges")
         instance = reduce_cost_to_power(base)
         check_printable(instance.edges)
         return instance

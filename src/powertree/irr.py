@@ -70,21 +70,18 @@ class RunTrace:
         )
 
 
-def zero_power_tree_exists(instance: Instance, required: frozenset[int] | None = None) -> bool:
-    """True iff the zero-cost subgraph connects all required nodes."""
-    req = instance.terminals if required is None else required
-    return connects(instance.node_count, (e for e in instance.edges if e[2] == 0), req)
+def zero_power_tree_exists(instance: Instance) -> bool:
+    """True iff the zero-cost subgraph connects all terminals."""
+    return connects(instance.node_count, (e for e in instance.edges if e[2] == 0), instance.terminals)
 
 
-def prune(instance: Instance, edge_ids, required: frozenset[int] | None = None) -> PowerTree:
+def prune(instance: Instance, edge_ids) -> PowerTree:
     """Extract a tree spanning the terminals from a connected edge set.
 
     Power is evaluated under the instance's own (original) costs and never
     exceeds the power of the input edge set.
     """
-    req = instance.terminals if required is None else required
-    tree = extract_tree(instance, edge_ids, req)
-    return evaluate(instance, tree)
+    return evaluate(instance, extract_tree(instance, edge_ids, instance.terminals))
 
 
 def irr_solve(
@@ -97,7 +94,7 @@ def irr_solve(
 
     Returns the pruned solution (evaluated under the original costs) and the
     run trace. Raises IrrError with the partial trace if max_iters is hit
-    (default cap: 50 * |E|).
+    (default cap: 50 * |E|), and ComponentError for k outside [2, 4].
     """
     if max_iters is None:
         max_iters = max(1, 50 * len(instance.edges))
@@ -106,11 +103,10 @@ def irr_solve(
     rng = random.Random(seed)
     trace = RunTrace(seed=seed)
     costs = [c for _, _, c in instance.edges]
-    sampled_edges: set[int] = set()
     current = instance  # rebuilt only when a sampled component zeroes costs
 
     for iteration in range(1, max_iters + 1):
-        columns = enumerate_columns(current, k) if len(instance.terminals) >= 2 else []
+        columns = enumerate_columns(current, k)
         if columns:
             state = solve_lp(current, columns)
             total_mass = state.column_mass()
@@ -132,7 +128,6 @@ def irr_solve(
             new_zeros = sum(1 for e in comp.edges if costs[e] > 0)
             for e in comp.edges:
                 costs[e] = Fraction(0)
-            sampled_edges.update(comp.edges)
             trace.records.append(IterationRecord(
                 iteration, state.objective, tuple(sorted(comp.terminal_set)),
                 comp.sink, comp.power, new_zeros,
@@ -141,8 +136,5 @@ def irr_solve(
         else:
             trace.records.append(IterationRecord(iteration, 0.0, None, None, None, 0))
         if zero_power_tree_exists(current):
-            pool = set(sampled_edges)
-            pool.update(e for e, (_, _, c) in enumerate(instance.edges) if c == 0)
-            tree = prune(instance, pool)
-            return tree, trace
+            return prune(instance, [e for e, c in enumerate(costs) if c == 0]), trace
     raise IrrError(f"iteration cap {max_iters} reached without a zero-power tree", trace)

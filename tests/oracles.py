@@ -2,7 +2,9 @@
 
 Each oracle deliberately avoids the implementation path it checks: paths by
 simple-path enumeration, trees by acyclic-edge-subset enumeration, costs by
-the same subset sweep, and tiny LPs by rational vertex enumeration.
+the same subset sweep, and tiny LPs by rational vertex enumeration. The
+`*_reference` functions keep earlier implementations whose replacements
+must give the same results, ties included.
 """
 
 from __future__ import annotations
@@ -11,8 +13,11 @@ import heapq
 from fractions import Fraction
 from itertools import combinations
 
+from powertree.components import Component, ComponentError
 from powertree.exact import _terminal_tree
 from powertree.instance import Instance, edge_set_power
+from powertree.pathpower import capped_state_search
+from powertree.pruning import extract_tree
 
 
 def min_power_path_bruteforce(instance: Instance, src: int, dst: int) -> Fraction | None:
@@ -387,3 +392,62 @@ def dreyfus_wagner_reference(instance: Instance) -> list[int]:
 
     reconstruct(full, terms[0])
     return _terminal_tree(instance, edges)
+
+
+def component_three_reference(instance: Instance, Q: frozenset[int]) -> Component:
+    """The spider search for |Q| = 3 with a separate two-leg loop for a
+    terminal junction, and the tree's power recomputed from its edges."""
+    def entering(q: int) -> dict[int, list[tuple[int, Fraction, tuple[int, ...]]]]:
+        by_node: dict[int, list[tuple[int, Fraction, tuple[int, ...]]]] = {}
+        for (node, eid), (power, _, _, edge_path) in capped_state_search(instance, q, Fraction(0)).items():
+            by_node.setdefault(node, []).append((eid, power, edge_path))
+        for opts in by_node.values():
+            opts.sort(key=lambda o: (o[1], o[0]))
+        return by_node
+
+    q_nodes = sorted(Q)
+    enter = {q: entering(q) for q in q_nodes}
+
+    best: tuple[Fraction, tuple[tuple[int, ...], ...]] | None = None
+    for c in range(instance.node_count):
+        if c in Q:
+            legs = [q for q in q_nodes if q != c]
+            options = [enter[q].get(c) for q in legs]
+            if any(o is None for o in options):
+                continue
+            for e1, p1, path1 in options[0]:
+                if best is not None and p1 >= best[0]:
+                    break
+                for e2, p2, path2 in options[1]:
+                    if best is not None and p1 + p2 >= best[0]:
+                        break
+                    value = p1 + p2 + max(instance.cost(e1), instance.cost(e2))
+                    if best is None or value < best[0]:
+                        best = (value, (path1, path2))
+        else:
+            options = [enter[q].get(c) for q in q_nodes]
+            if any(o is None for o in options):
+                continue
+            for e1, p1, path1 in options[0]:
+                if best is not None and p1 >= best[0]:
+                    break
+                c1 = instance.cost(e1)
+                for e2, p2, path2 in options[1]:
+                    p12 = p1 + p2
+                    if best is not None and p12 >= best[0]:
+                        break
+                    c12 = max(c1, instance.cost(e2))
+                    for e3, p3, path3 in options[2]:
+                        if best is not None and p12 + p3 >= best[0]:
+                            break
+                        value = p12 + p3 + max(c12, instance.cost(e3))
+                        if best is None or value < best[0]:
+                            best = (value, (path1, path2, path3))
+    if best is None:
+        raise ComponentError(f"terminals {sorted(Q)} cannot be connected")
+    union: set[int] = set()
+    for path in best[1]:
+        union.update(path)
+    tree = extract_tree(instance, union, Q)
+    power = edge_set_power([instance.edges[e] for e in tree])
+    return Component(Q, None, tuple(tree), power)

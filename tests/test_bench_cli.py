@@ -127,6 +127,19 @@ def test_bench_exact_exception_recorded_not_fatal(monkeypatch):
     assert not any(r["mean_ratio"] for r in rows if r["row_type"] == "summary")
 
 
+def test_bench_ratio_past_float_range_is_inf(tmp_path):
+    # the optimum, 3/10^4000, against an mst row of power about 2
+    tiny = "1/1" + "0" * 4000
+    path = tmp_path / "tiny.mpst"
+    path.write_text(f"nodes 4\nedge 0 1 {tiny}\nedge 1 2 {tiny}\nedge 0 2 1\nedge 2 3 1\nterminals 0 2\nroot 0\n")
+    rows = report_rows(run_bench(parse_config(f"threads = 1\ninstance file:{path}\nsolver exact\nsolver mst\n")))
+    mst = next(r for r in rows if r["row_type"] == "row" and r["solver"] == "mst")
+    assert mst["ratio_to_exact"] == "inf" and mst["error"] == ""
+    assert mst["power"] and mst["cost"]
+    summary = next(r for r in rows if r["row_type"] == "summary" and r["solver"] == "mst")
+    assert summary["max_ratio"] == "inf"
+
+
 def test_bench_thread_count_changes_no_row():
     one = strip_wall_time(run_bench(parse_config(ORACLE_SUITE + "threads = 1\n")))
     three = strip_wall_time(run_bench(parse_config(ORACLE_SUITE + "threads = 3\n")))
@@ -214,6 +227,15 @@ def test_cli_gen_bad_parameter_exits_1(capsys):
     assert time.perf_counter() - start < 1.0
     err = json.loads(capsys.readouterr().err)
     assert err["type"] == "InstanceError" and "node pairs" in err["error"]
+
+
+def test_cli_gen_reduction_past_file_limits_exits_1(capsys):
+    start = time.perf_counter()
+    assert main(["gen", "--kind", "reduction-wrapped", "--nodes", "320", "--terminals", "3",
+                 "--seed", "1", "--edge-prob", "1.0"]) == 1
+    assert time.perf_counter() - start < 2.0
+    err = json.loads(capsys.readouterr().err)
+    assert err["type"] == "InstanceError" and "file limits" in err["error"]
 
 
 def test_cli_decompose_and_analyze(tmp_path, capsys):

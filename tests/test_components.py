@@ -11,7 +11,13 @@ from powertree.components import (
 from powertree.generators import GENERATOR_KINDS, generate
 from powertree.instance import Instance, evaluate, parse_instance
 from powertree.pathpower import min_power_path
-from oracles import min_power_tree_bruteforce
+from oracles import component_three_reference, min_power_tree_bruteforce
+
+
+def zero_costs(inst: Instance, fraction: float, seed: int) -> Instance:
+    """The instance with a seeded random `fraction` of its edge costs set to 0."""
+    rng = random.Random(seed)
+    return inst.with_costs([0 if rng.random() < fraction else c for _, _, c in inst.edges])
 
 
 def test_pair_equals_min_power_path():
@@ -68,14 +74,32 @@ def test_oracle_equivalence_q4_small():
 
 
 def test_component_power_matches_evaluate():
+    # zeroed costs make equal-power spiders and legs common
     for seed in range(40):
         rng = random.Random(6000 + seed)
-        inst = generate("uniform-random", 7, 4, 6000 + seed, edge_prob=0.5, cost_max=9)
-        terms = sorted(inst.terminals)
-        Q = frozenset(rng.sample(terms, 3))
-        comp = min_power_component(inst, Q, 3)
-        restricted = Instance(inst.node_count, inst.edges, Q, min(Q))
-        assert evaluate(restricted, comp.edges).total_power == comp.power
+        base = generate("uniform-random", 7, 4, 6000 + seed, edge_prob=0.5, cost_max=9)
+        Q = frozenset(rng.sample(sorted(base.terminals), 3))
+        for fraction in (0, 0.3, 0.6, 0.9):
+            inst = zero_costs(base, fraction, seed)
+            comp = min_power_component(inst, Q, 3)
+            restricted = Instance(inst.node_count, inst.edges, Q, min(Q))
+            assert evaluate(restricted, comp.edges).total_power == comp.power, (seed, fraction)
+
+
+def test_component_three_matches_reference():
+    checked = 0
+    for kind in GENERATOR_KINDS:
+        for fraction in (0, 0.3, 0.6, 0.9):
+            for s in range(5):
+                nodes = 4 + s % 2 if kind == "reduction-wrapped" else 6 + s % 3
+                inst = zero_costs(generate(kind, nodes, 4 + s % 2, 16_000 + s, edge_prob=0.5, cost_max=3),
+                                  fraction, s)
+                for col in enumerate_columns(inst, 3):
+                    if len(col.terminal_set) == 3 and col.sink == min(col.terminal_set):
+                        want = component_three_reference(inst, col.terminal_set)
+                        assert (col.edges, col.power) == (want.edges, want.power), (kind, fraction, s)
+                        checked += 1
+    assert checked >= 400
 
 
 def test_component_at_least_cheapest_pair():

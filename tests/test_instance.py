@@ -249,6 +249,14 @@ def test_generator_node_pair_limit():
         assert time.perf_counter() - start < 1.0
 
 
+def test_reduction_wrapped_within_file_limits():
+    # 51,040 base edges would reduce to 102,400 nodes
+    start = time.perf_counter()
+    with pytest.raises(InstanceError, match="file limits"):
+        generate("reduction-wrapped", 320, 3, 1, edge_prob=1.0)
+    assert time.perf_counter() - start < 2.0
+
+
 def test_generated_costs_that_would_not_print_are_rejected():
     # each cost prints, but a sum of them would pass the digit limit
     with pytest.raises(InstanceError, match="twice the total cost"):

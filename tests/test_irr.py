@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from powertree.components import ComponentError
 from powertree.exact import exact_min_power
 from powertree.generators import generate
 from powertree.instance import Instance, evaluate, parse_instance
@@ -122,6 +123,12 @@ def test_single_terminal_sentinel_iteration():
     assert trace.iterations == 1
     assert trace.records[0].sampled_terminals is None
     assert tree.total_power == 0
+
+
+def test_single_terminal_checks_k():
+    inst = Instance(2, ((0, 1, F(4)),), frozenset({0}), 0)
+    with pytest.raises(ComponentError, match="k must be"):
+        irr_solve(inst, 9, seed=0)
 
 
 def test_iteration_cap_raises_with_trace():

@@ -16,12 +16,17 @@ differ in anything else. Records:
              perfbench irr workload in its mode, and on the 100 reduced
              instances of acceptance criterion 2 (up to 31 nodes)
   extract    extract_tree on random edge subsets, raising calls included
-  columns    enumerate_columns at k=4 (edges and power per column)
+  columns    enumerate_columns at k=4 (edges and power per column), and at
+             k=3 on the inputs of
+             tests/test_components.py::test_component_three_matches_reference,
+             each generator kind with 0/30/60/90% of its costs zeroed, where
+             equal-power spiders are common
   pair       min_power_component on every terminal pair
   lp         solve_lp rows, x and objective history
   bench      bench-oracle suite CSVs without the wall_time_s column, on its
              own pool and at threads = 1, a suite whose exact rows raise, and
-             one whose mst row's ratio to exact is past float range
+             one whose mst row's ratio to exact is past float range (written
+             as inf)
   analysis   on 150 seeds of three tree families (random full components,
              degree-capped ones with 28-49 terminals, and dummy-leaf
              completions of random trees with internal terminals):
@@ -231,6 +236,16 @@ def main(src: str) -> None:
         state = pt.solve_lp(inst, pt.enumerate_columns(inst, 3))
         emit("lp", [kind, s], [[sorted(r) for r in state.rows], sorted(state.x.items()),
                                list(state.objective_history)])
+    for kind in GENERATOR_KINDS:
+        for fraction in (0, 0.3, 0.6, 0.9):
+            for s in range(5):
+                nodes = 4 + s % 2 if kind == "reduction-wrapped" else 6 + s % 3
+                inst = pt.generate(kind, nodes, 4 + s % 2, 16_000 + s, edge_prob=0.5, cost_max=3)
+                zeroing = random.Random(s)
+                inst = inst.with_costs([0 if zeroing.random() < fraction else c for _, _, c in inst.edges])
+                cols = pt.enumerate_columns(inst, 3)
+                emit("columns", [kind, fraction, s],
+                     [[sorted(c.terminal_set), c.sink, list(c.edges), str(c.power)] for c in cols])
 
     w = WORKLOADS["bench-oracle"]
     for u in range(6):
@@ -247,7 +262,7 @@ def main(src: str) -> None:
         "instance gen:uniform-random nodes=8 terminals=4 seed=4\n"
         "solver exact\nsolver mst\nsolver steiner-cost\nsolver irr\n"))
     emit("bench", "exact-raises", BenchPlan.signature(report))
-    # a power ratio past float range fails its row alone
+    # a power ratio past float range is written as inf
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "tiny.mpst"
         tiny = "1/1" + "0" * 4000
