@@ -31,7 +31,7 @@ from fractions import Fraction
 from .analysis import theoretical_factor
 from .exact import baseline_min_cost, exact_min_power
 from .generators import generate
-from .instance import Instance, PowerTree, format_cost, parse_instance
+from .instance import Instance, PowerTree, format_cost, parse_cost, parse_instance
 from .irr import RunTrace, irr_solve
 
 CSV_HEADER = [
@@ -114,7 +114,7 @@ def _load_instance(spec: str, mode: str) -> Instance:
             elif key in ("edge_prob",):
                 kwargs[key] = float(value)
             elif key in ("low", "high"):
-                kwargs[key] = Fraction(value)
+                kwargs[key] = parse_cost(value)
             else:
                 raise BenchError(f"unknown generator parameter {key!r}")
         inst = generate(kind, **kwargs)

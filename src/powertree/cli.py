@@ -13,7 +13,7 @@ from fractions import Fraction
 from . import analysis, bench, decomposition
 from .components import enumerate_columns, min_power_component
 from .generators import GENERATOR_KINDS, generate
-from .instance import Instance, format_cost, parse_instance, serialize
+from .instance import Instance, format_cost, parse_cost, parse_instance, serialize
 from .lp import solve_lp
 from .pathpower import min_power_path
 from .trees import CostedTree, prune_nonterminal_leaves
@@ -186,9 +186,9 @@ def cmd_gen(args: argparse.Namespace) -> int:
     if args.exponent is not None:
         kwargs["exponent"] = args.exponent
     if args.low is not None:
-        kwargs["low"] = Fraction(args.low)
+        kwargs["low"] = parse_cost(args.low)
     if args.high is not None:
-        kwargs["high"] = Fraction(args.high)
+        kwargs["high"] = parse_cost(args.high)
     instance = generate(args.kind, args.nodes, args.terminals, args.seed, **kwargs)
     text = serialize(instance)
     if args.out:

@@ -6,6 +6,9 @@ enumerate candidate branch nodes A (non-terminals of degree >= 3, at most
 every topology edge by a boundary edge on each side joined through a
 boundary-capped min-power path whose interior avoids all topology nodes.
 Realizations whose union contains a cycle are discarded, not repaired.
+
+Every search adds and compares the instance's scaled int weights; a
+component's power becomes a Fraction once per terminal set, in `Component`.
 """
 
 from __future__ import annotations
@@ -71,8 +74,9 @@ def _labeled_trees(size: int, min_degree_from: int):
 
 class _PairRealizer:
     """Realization options for topology edges, shared across topologies of one
-    (Q, A) choice. An option is (edge ids, standalone power) for one concrete
-    way to connect two topology nodes outside the other topology nodes."""
+    (Q, A) choice. An option is (edge ids, standalone scaled power) for one
+    concrete way to connect two topology nodes outside the other topology
+    nodes."""
 
     def __init__(self, instance: Instance, topo_nodes: tuple[int, ...]):
         self.instance = instance
@@ -80,10 +84,10 @@ class _PairRealizer:
         self._edge_lookup: dict[tuple[int, int], int] = {}
         for eid, (u, v, _) in enumerate(instance.edges):
             self._edge_lookup[(min(u, v), max(u, v))] = eid
-        self._options: dict[tuple[int, int], list[tuple[tuple[int, ...], Fraction]]] = {}
-        self._capped_cache: dict[tuple[int, Fraction], dict] = {}
+        self._options: dict[tuple[int, int], list[tuple[tuple[int, ...], int]]] = {}
+        self._capped_cache: dict[tuple[int, int], dict] = {}
 
-    def _interior(self, src: int, cap: Fraction) -> dict:
+    def _interior(self, src: int, cap: int) -> dict:
         """Boundary-capped interior search from src avoiding topology nodes,
         keyed by (end node, entering edge id)."""
         key = (src, cap)
@@ -93,32 +97,33 @@ class _PairRealizer:
             self._capped_cache[key] = hit
         return hit
 
-    def options(self, a: int, b: int) -> list[tuple[tuple[int, ...], Fraction]]:
+    def options(self, a: int, b: int) -> list[tuple[tuple[int, ...], int]]:
         key = (min(a, b), max(a, b))
         hit = self._options.get(key)
         if hit is not None:
             return hit
         inst = self.instance
-        found: dict[tuple[int, ...], Fraction] = {}
+        weights = inst.weights
+        found: dict[tuple[int, ...], int] = {}
 
         direct = self._edge_lookup.get(key)
         if direct is not None:
-            found[(direct,)] = 2 * inst.cost(direct)
+            found[(direct,)] = 2 * weights[direct]
 
         for ea in inst.adjacency[a]:
             a2 = inst.other_end(ea, a)
             if a2 in self.topo:
                 continue
-            cap_a = inst.cost(ea)
+            cap_a = weights[ea]
             interiors = None
             for eb in inst.adjacency[b]:
                 b2 = inst.other_end(eb, b)
                 if b2 in self.topo:
                     continue
-                cap_b = inst.cost(eb)
+                cap_b = weights[eb]
                 if a2 == b2:
                     ids = tuple(sorted((ea, eb)))
-                    found.setdefault(ids, edge_set_power([inst.edges[e] for e in ids]))
+                    found.setdefault(ids, edge_set_power(inst.scaled_edges(ids)))
                     continue
                 if interiors is None:
                     interiors = self._interior(a2, cap_a)
@@ -127,7 +132,7 @@ class _PairRealizer:
                 for (node, eid), (power, _, _, path_edges) in interiors.items():
                     if node != b2 or eid == eb:
                         continue
-                    total = power + max(inst.cost(eid), cap_b)
+                    total = power + max(weights[eid], cap_b)
                     if best_val is None or total < best_val or (
                         total == best_val and path_edges < best_edges
                     ):
@@ -135,7 +140,7 @@ class _PairRealizer:
                         best_edges = path_edges
                 if best_edges is not None:
                     ids = tuple(sorted((ea, eb) + best_edges))
-                    found.setdefault(ids, edge_set_power([inst.edges[e] for e in ids]))
+                    found.setdefault(ids, edge_set_power(inst.scaled_edges(ids)))
 
         out = sorted(found.items(), key=lambda kv: (kv[1], kv[0]))
         result = [(ids, power) for ids, power in out]
@@ -154,8 +159,8 @@ def _assemble(
     topo_nodes: tuple[int, ...],
     topo_edges: list[tuple[int, int]],
     realizer: _PairRealizer,
-    threshold: Fraction | None,
-) -> tuple[Fraction, tuple[int, ...]] | None:
+    threshold: int | None,
+) -> tuple[int, tuple[int, ...]] | None:
     """Pick one realization per topology edge, minimizing the power of the
     union edge set; unions with cycles are discarded. Branches whose partial
     power already exceeds `threshold` are cut (power grows monotonically)."""
@@ -166,12 +171,12 @@ def _assemble(
             return None
         per_edge.append(opts)
 
-    edges_info = instance.edges
-    best: tuple[Fraction, tuple[int, ...]] | None = None
+    edges_info, weights = instance.edges, instance.weights
+    best: tuple[int, tuple[int, ...]] | None = None
     chosen: set[int] = set()
-    node_max: dict[int, Fraction] = {}
+    node_max: dict[int, int] = {}
 
-    def place(level: int, power: Fraction, parent: dict[int, int]) -> None:
+    def place(level: int, power: int, parent: dict[int, int]) -> None:
         nonlocal best
         cap = best[0] if best is not None else threshold
         if cap is not None and power > cap:
@@ -186,10 +191,11 @@ def _assemble(
             new_ids = [e for e in ids if e not in chosen]
             par = dict(parent)
             ok = True
-            delta = Fraction(0)
-            touched: list[tuple[int, Fraction | None]] = []
+            delta = 0
+            touched: list[tuple[int, int | None]] = []
             for e in new_ids:
-                u, v, c = edges_info[e]
+                u, v, _ = edges_info[e]
+                c = weights[e]
                 ru, rv = _find(par, u), _find(par, v)
                 if ru == rv:
                     ok = False
@@ -200,7 +206,7 @@ def _assemble(
                     if cur is None or c > cur:
                         touched.append((node, cur))
                         node_max[node] = c
-                        delta += c - (cur if cur is not None else Fraction(0))
+                        delta += c - (cur if cur is not None else 0)
             if ok:
                 chosen.update(new_ids)
                 place(level + 1, power + delta, par)
@@ -211,19 +217,20 @@ def _assemble(
                 else:
                     node_max[node] = prev
 
-    place(0, Fraction(0), {})
+    place(0, 0, {})
     return best
 
 
 def _entering(instance: Instance, searches: dict, q: int):
     """Terminal q's search states grouped by end node, each group a sorted list
-    of leg options (accrued power, entering edge id, entering edge cost, edge
-    path); computed once per q and kept in `searches`."""
+    of leg options (accrued power, entering edge id, entering edge weight,
+    edge path) in scaled units; computed once per q and kept in `searches`."""
     if q not in searches:
-        states = capped_state_search(instance, q, Fraction(0))
-        by_node: dict[int, list[tuple[Fraction, int, Fraction, tuple[int, ...]]]] = {}
+        weights = instance.weights
+        states = capped_state_search(instance, q, 0)
+        by_node: dict[int, list[tuple[int, int, int, tuple[int, ...]]]] = {}
         for (node, eid), (power, _, _, edge_path) in states.items():
-            by_node.setdefault(node, []).append((power, eid, instance.cost(eid), edge_path))
+            by_node.setdefault(node, []).append((power, eid, weights[eid], edge_path))
         for opts in by_node.values():
             opts.sort()
         searches[q] = by_node
@@ -247,7 +254,7 @@ def _component_three(instance: Instance, Q: frozenset[int], searches: dict) -> C
     q_nodes = sorted(Q)
     enter = [_entering(instance, searches, q) for q in q_nodes]
 
-    best: tuple[Fraction, tuple[tuple[int, ...], ...]] | None = None
+    best: tuple[int, tuple[tuple[int, ...], ...]] | None = None
     for c in range(instance.node_count):
         options = [_EMPTY_LEG if q == c else by_node.get(c) for q, by_node in zip(q_nodes, enter)]
         if None in options:
@@ -271,20 +278,20 @@ def _component_three(instance: Instance, Q: frozenset[int], searches: dict) -> C
     union: set[int] = set()
     for path in best[1]:
         union.update(path)
-    return Component(Q, None, tuple(extract_tree(instance, union, Q)), best[0])
+    return Component(Q, None, tuple(extract_tree(instance, union, Q)), Fraction(best[0], instance.scale))
 
 
 def _component_pair(instance: Instance, Q: frozenset[int], searches: dict) -> Component:
     """|Q| = 2: the min-power path, ties by (accrued power, entering edge id)."""
     u, v = sorted(Q)
     best = None
-    for power, _, cost, edge_path in _entering(instance, searches, u).get(v, ()):
-        total = power + cost
+    for power, _, weight, edge_path in _entering(instance, searches, u).get(v, ()):
+        total = power + weight
         if best is None or total < best[0]:
             best = (total, edge_path)
     if best is None:
         raise ComponentError(f"terminals {sorted(Q)} cannot be connected")
-    return Component(Q, None, tuple(sorted(best[1])), best[0])
+    return Component(Q, None, tuple(sorted(best[1])), Fraction(best[0], instance.scale))
 
 
 def min_power_component(instance: Instance, terminal_subset, k_cap: int = 4) -> Component:
@@ -307,7 +314,7 @@ def min_power_component(instance: Instance, terminal_subset, k_cap: int = 4) -> 
 
     q_nodes = tuple(sorted(Q))
     nonterms = [x for x in range(instance.node_count) if x not in Q]
-    best: tuple[Fraction, tuple[int, ...]] | None = None
+    best: tuple[int, tuple[int, ...]] | None = None
     for a_size in range(0, len(Q) - 1):
         for A in combinations(nonterms, a_size):
             topo_nodes = q_nodes + A
@@ -323,7 +330,7 @@ def min_power_component(instance: Instance, terminal_subset, k_cap: int = 4) -> 
                     best = got
     if best is None:
         raise ComponentError(f"terminals {sorted(Q)} cannot be connected")
-    return Component(Q, None, best[1], best[0])
+    return Component(Q, None, best[1], Fraction(best[0], instance.scale))
 
 
 def enumerate_columns(instance: Instance, k: int) -> list[Component]:

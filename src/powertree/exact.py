@@ -4,13 +4,13 @@ The exact solver enumerates candidate trees by contraction/deletion growth
 from the root with a running power lower bound; it is meant for desk-scale
 instances (see the node guard). The baselines are a minimum spanning tree
 (spanning case) and exact Dreyfus-Wagner / metric-closure min-cost Steiner
-trees, all evaluated under the power objective.
+trees, all evaluated under the power objective. The searches add and
+compare the instance's scaled int weights; `evaluate` builds the result.
 """
 
 from __future__ import annotations
 
 import heapq
-from fractions import Fraction
 from itertools import combinations, compress
 from operator import not_
 
@@ -39,22 +39,22 @@ def exact_min_power(instance: Instance, mode: str = "steiner", node_guard: int =
     if not connects(instance.node_count, instance.edges, required):
         raise SolverError("required nodes are disconnected")
 
-    edges = instance.edges
+    edges, weights = instance.edges, instance.weights
     m = len(edges)
     root = instance.root
 
     # the first descent always takes the cheapest crossing edge (Prim's tree),
     # so the search finds its own upper bound before it has to prune
-    best_power: Fraction | None = None
+    best_power: int | None = None
     best_edges: tuple[int, ...] | None = None
 
     in_tree = [False] * instance.node_count
     in_tree[root] = True
-    node_max: dict[int, Fraction] = {root: Fraction(0)}
+    node_max: dict[int, int] = {root: 0}
     banned = [False] * m
 
-    def lower_bound(power: Fraction) -> Fraction | None:
-        extra = Fraction(0)
+    def lower_bound(power: int) -> int | None:
+        extra = 0
         for t in required:
             if in_tree[t]:
                 continue
@@ -62,7 +62,7 @@ def exact_min_power(instance: Instance, mode: str = "steiner", node_guard: int =
             for eid in instance.adjacency[t]:
                 if banned[eid]:
                     continue
-                c = edges[eid][2]
+                c = weights[eid]
                 if cheapest is None or c < cheapest:
                     cheapest = c
             if cheapest is None:
@@ -73,10 +73,10 @@ def exact_min_power(instance: Instance, mode: str = "steiner", node_guard: int =
     def feasible() -> bool:
         return connects(instance.node_count, compress(edges, map(not_, banned)), required)
 
-    order = sorted(range(m), key=lambda e: (edges[e][2], e))
+    order = sorted(range(m), key=lambda e: (weights[e], e))
     selected: list[int] = []
 
-    def record(power: Fraction) -> None:
+    def record(power: int) -> None:
         nonlocal best_power, best_edges
         cand = tuple(sorted(selected))
         if best_power is None or power < best_power or (
@@ -85,7 +85,7 @@ def exact_min_power(instance: Instance, mode: str = "steiner", node_guard: int =
             best_power = power
             best_edges = cand
 
-    def recurse(power: Fraction, covered: int) -> None:
+    def recurse(power: int, covered: int) -> None:
         if covered == len(required):
             record(power)
             return
@@ -102,7 +102,8 @@ def exact_min_power(instance: Instance, mode: str = "steiner", node_guard: int =
                 break
         if pick is None:
             return
-        u, v, c = edges[pick]
+        u, v, _ = edges[pick]
+        c = weights[pick]
         inner, outer = (u, v) if in_tree[u] else (v, u)
 
         # include branch
@@ -124,21 +125,22 @@ def exact_min_power(instance: Instance, mode: str = "steiner", node_guard: int =
             recurse(power, covered)
         banned[pick] = False
 
-    recurse(Fraction(0), 1 if root in required else 0)
+    recurse(0, 1 if root in required else 0)
     if best_edges is None:
         raise SolverError("no feasible tree found")
     return evaluate(instance, best_edges)
 
 
 # ---------------------------------------------------------------------------
-# shortest paths (by cost) with edge predecessors, exact arithmetic
+# shortest paths (by scaled weight) with edge predecessors, exact arithmetic
 
 
-def _grow(instance: Instance, labels: list[Fraction | None]) -> list[int | None]:
+def _grow(instance: Instance, labels: list[int | None]) -> list[int | None]:
     """Multi-source Dijkstra: lower each label to the cheapest label-plus-path
-    cost, in place, and return each node's last path edge (None where a
+    weight, in place, and return each node's last path edge (None where a
     node keeps its own label)."""
     n = instance.node_count
+    weights = instance.weights
     pred_edge: list[int | None] = [None] * n
     heap = [(d, v) for v, d in enumerate(labels) if d is not None]
     heapq.heapify(heap)
@@ -150,7 +152,7 @@ def _grow(instance: Instance, labels: list[Fraction | None]) -> list[int | None]
         done[v] = True
         for eid in instance.adjacency[v]:
             other = instance.other_end(eid, v)
-            nd = d + instance.cost(eid)
+            nd = d + weights[eid]
             if labels[other] is None or nd < labels[other]:
                 labels[other] = nd
                 pred_edge[other] = eid
@@ -174,7 +176,7 @@ def _kruskal(instance: Instance, edge_ids) -> list[int]:
     """Minimum spanning forest of the given edges (ties by edge id)."""
     uf = UnionFind(instance.node_count)
     return [
-        eid for eid in sorted(edge_ids, key=lambda e: (instance.cost(e), e))
+        eid for eid in sorted(edge_ids, key=lambda e: (instance.weights[e], e))
         if uf.union(instance.edges[eid][0], instance.edges[eid][1])
     ]
 
@@ -192,11 +194,11 @@ def _dreyfus_wagner(instance: Instance) -> list[int]:
         return []
     n = instance.node_count
     full = (1 << k) - 1
-    dp: list[list[Fraction | None]] = [[None] * n for _ in range(1 << k)]
+    dp: list[list[int | None]] = [[None] * n for _ in range(1 << k)]
     split: list[list[int | None]] = [[None] * n for _ in range(1 << k)]
     pred: list[list[int | None] | None] = [None] * (1 << k)
     for i, t in enumerate(terms):
-        dp[1 << i][t] = Fraction(0)
+        dp[1 << i][t] = 0
 
     for mask in range(1, full + 1):
         low = mask & (-mask)
@@ -243,7 +245,7 @@ def _metric_closure_steiner(instance: Instance) -> list[int]:
     preds = {}
     for t in terms:
         dists[t] = [None] * instance.node_count
-        dists[t][t] = Fraction(0)
+        dists[t][t] = 0
         preds[t] = _grow(instance, dists[t])
     # Kruskal over terminal pairs
     pairs = []

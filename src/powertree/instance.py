@@ -1,8 +1,12 @@
 """Instance model: graphs with exact rational edge costs, power evaluation, file I/O.
 
-Costs are `fractions.Fraction` throughout; power of a node is the maximum
-cost over its incident tree edges, and tie-breaking on equal powers is
-meaningful, so no floating point enters the combinatorial layers.
+Costs are `fractions.Fraction` at the API: in files, edges, `evaluate` and
+`PowerTree`. The solvers only add and compare costs, so they work on
+`Instance.weights`, every cost times `Instance.scale` (the lcm of the cost
+denominators) as a Python int; scaling by one positive constant keeps every
+sum, comparison and tie. Power of a node is the maximum cost over its
+incident tree edges, and tie-breaking on equal powers is meaningful, so no
+floating point enters the combinatorial layers.
 """
 
 from __future__ import annotations
@@ -99,7 +103,9 @@ class Instance:
     """Undirected graph with rational edge costs, a terminal set and a root terminal.
 
     Node ids are dense integers 0..node_count-1. Edges are identified by their
-    index in `edges`. Immutable after construction; safe to share across threads.
+    index in `edges`. `scale` is the lcm of the cost denominators and
+    `weights[eid]` the int cost of edge eid times `scale`. Immutable after
+    construction; safe to share across threads.
     """
 
     node_count: int
@@ -107,6 +113,8 @@ class Instance:
     terminals: frozenset[int]
     root: int
     adjacency: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    scale: int = field(init=False, repr=False, compare=False)
+    weights: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.node_count <= 0:
@@ -135,6 +143,9 @@ class Instance:
             adj[u].append(idx)
             adj[v].append(idx)
         object.__setattr__(self, "adjacency", tuple(tuple(a) for a in adj))
+        scale = lcm(*(c.denominator for _, _, c in self.edges))
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "weights", tuple(c.numerator * (scale // c.denominator) for _, _, c in self.edges))
         if not connects(self.node_count, self.edges, self.terminals):
             raise InstanceError("terminals are disconnected")
 
@@ -144,6 +155,11 @@ class Instance:
 
     def cost(self, eid: int) -> Fraction:
         return self.edges[eid][2]
+
+    def scaled_edges(self, edge_ids: Iterable[int]) -> list[tuple[int, int, int]]:
+        """The (u, v, weight) triples of `edge_ids`, for `edge_set_power`."""
+        edges, weights = self.edges, self.weights
+        return [(edges[e][0], edges[e][1], weights[e]) for e in edge_ids]
 
     def with_costs(self, costs: Sequence[Fraction]) -> "Instance":
         """Copy of this instance with the same structure and new edge costs."""
@@ -175,15 +191,20 @@ class PowerTree:
         return rec
 
 
-def edge_set_power(edges: Iterable[tuple[int, int, Fraction]]) -> Fraction:
-    """Power of an arbitrary edge set: sum over touched nodes of max incident cost."""
-    node_max: dict[int, Fraction] = {}
+def edge_set_power(edges: Iterable[tuple[int, int, Fraction | int]]) -> Fraction | int:
+    """Power of an arbitrary edge set: sum over touched nodes of max incident cost.
+
+    The edges are (u, v, cost) triples of any exact cost type: Fractions at
+    the API, scaled ints (`Instance.weights`) in the solvers. The power has
+    the costs' type, or is the int 0 for no edges.
+    """
+    node_max: dict[int, Fraction | int] = {}
     for u, v, c in edges:
         for node in (u, v):
             cur = node_max.get(node)
             if cur is None or c > cur:
                 node_max[node] = c
-    return sum(node_max.values(), Fraction(0))
+    return sum(node_max.values())
 
 
 def evaluate(instance: Instance, edge_ids: Sequence[int]) -> PowerTree:

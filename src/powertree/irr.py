@@ -72,7 +72,8 @@ class RunTrace:
 
 def zero_power_tree_exists(instance: Instance) -> bool:
     """True iff the zero-cost subgraph connects all terminals."""
-    return connects(instance.node_count, (e for e in instance.edges if e[2] == 0), instance.terminals)
+    zero = (e for e, w in zip(instance.edges, instance.weights) if not w)
+    return connects(instance.node_count, zero, instance.terminals)
 
 
 def prune(instance: Instance, edge_ids) -> PowerTree:
@@ -125,9 +126,9 @@ def irr_solve(
             if pick is None:
                 raise IrrError("no sampleable column (zero LP mass)", trace)
             comp = columns[pick]
-            new_zeros = sum(1 for e in comp.edges if costs[e] > 0)
+            new_zeros = sum(1 for e in comp.edges if current.weights[e])
             for e in comp.edges:
-                costs[e] = Fraction(0)
+                costs[e] = 0
             trace.records.append(IterationRecord(
                 iteration, state.objective, tuple(sorted(comp.terminal_set)),
                 comp.sink, comp.power, new_zeros,
@@ -136,5 +137,5 @@ def irr_solve(
         else:
             trace.records.append(IterationRecord(iteration, 0.0, None, None, None, 0))
         if zero_power_tree_exists(current):
-            return prune(instance, [e for e, c in enumerate(costs) if c == 0]), trace
+            return prune(instance, [e for e, w in enumerate(current.weights) if not w]), trace
     raise IrrError(f"iteration cap {max_iters} reached without a zero-power tree", trace)

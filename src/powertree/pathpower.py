@@ -3,8 +3,9 @@
 The search runs over states (current node, id of the edge just traversed);
 moving from state (v, e) along edge f costing b accrues max(c(e), b), the
 power paid at v. The path's two endpoints pay their single incident edge,
-realized as an initial and a final surcharge. Exact rational arithmetic;
-ties broken by fewer edges, then lexicographically smallest node sequence.
+realized as an initial and a final surcharge. The search adds and compares
+the instance's scaled int weights; only `PathResult.power` is a Fraction.
+Ties broken by fewer edges, then lexicographically smallest node sequence.
 """
 
 from __future__ import annotations
@@ -39,19 +40,21 @@ class PathResult:
 def capped_state_search(
     instance: Instance,
     src: int,
-    cap_src: Fraction,
+    cap_src: int,
     forbidden: frozenset[int] | None = None,
-) -> dict[tuple[int, int], tuple[Fraction, int, tuple[int, ...], tuple[int, ...]]]:
+) -> dict[tuple[int, int], tuple[int, int, tuple[int, ...], tuple[int, ...]]]:
     """Best accrued power per state (node, entering edge id) from src.
 
+    Powers and `cap_src` are in the instance's scaled units (`weights`).
     The accrued value covers every node on the path except the final one;
-    the first payment is max(cap_src, first edge cost). Returns per state
+    the first payment is max(cap_src, first edge weight). Returns per state
     (power, edge count, node sequence, edge id sequence); ties prefer fewer
     edges, then the lexicographically smallest node sequence. Nodes in
     `forbidden` are never traversed.
     """
-    best: dict[tuple[int, int], tuple[Fraction, int, tuple[int, ...], tuple[int, ...]]] = {}
-    heap: list[tuple[Fraction, int, tuple[int, ...], tuple[int, ...], int, int]] = []
+    weights = instance.weights
+    best: dict[tuple[int, int], tuple[int, int, tuple[int, ...], tuple[int, ...]]] = {}
+    heap: list[tuple[int, int, tuple[int, ...], tuple[int, ...], int, int]] = []
 
     def offer(state, power, n_edges, nodes, edges):
         cur = best.get(state)
@@ -64,8 +67,7 @@ def capped_state_search(
         other = instance.other_end(eid, src)
         if forbidden and other in forbidden:
             continue
-        c = instance.cost(eid)
-        offer((other, eid), max(cap_src, c), 1, (src, other), (eid,))
+        offer((other, eid), max(cap_src, weights[eid]), 1, (src, other), (eid,))
 
     done: set[tuple[int, int]] = set()
     while heap:
@@ -74,7 +76,7 @@ def capped_state_search(
         if state in done or best.get(state, ())[:3] != (power, n_edges, nodes):
             continue
         done.add(state)
-        c_in = instance.cost(eid)
+        c_in = weights[eid]
         for nxt in instance.adjacency[node]:
             other = instance.other_end(nxt, node)
             if other in nodes:
@@ -83,7 +85,7 @@ def capped_state_search(
                 continue
             offer(
                 (other, nxt),
-                power + max(c_in, instance.cost(nxt)),
+                power + max(c_in, weights[nxt]),
                 n_edges + 1,
                 nodes + (other,),
                 edges + (nxt,),
@@ -99,13 +101,13 @@ def min_power_path(instance: Instance, src: int, dst: int) -> PathResult:
         if not (0 <= node < instance.node_count):
             raise PathError(f"node {node} out of range")
     answer = None
-    states = capped_state_search(instance, src, Fraction(0))
+    states = capped_state_search(instance, src, 0)
     for (node, eid), (power, n_edges, nodes, edges) in states.items():
         if node != dst:
             continue
-        cand = (power + instance.cost(eid), n_edges, nodes, edges)
+        cand = (power + instance.weights[eid], n_edges, nodes, edges)
         if answer is None or cand[:3] < answer[:3]:
             answer = cand
     if answer is None:
         raise PathError(f"node {dst} unreachable from {src}")
-    return PathResult(answer[2], answer[3], answer[0])
+    return PathResult(answer[2], answer[3], Fraction(answer[0], instance.scale))

@@ -19,25 +19,26 @@ def extract_tree(instance: Instance, edge_ids, required: frozenset[int]) -> list
     reduces power (ties by smallest edge id), then strips non-required
     leaves. The result's power never exceeds the input edge set's power.
     """
-    edges = instance.edges
     current = set(edge_ids)
+    # (u, v, weight) per edge: powers are compared in the instance's scaled ints
+    scaled = dict(zip(current, instance.scaled_edges(current)))
     # Deleting a non-bridge keeps the node set and the components, so the
     # deletions needed for acyclicity number the unions that close a cycle.
     uf = UnionFind(instance.node_count)
-    surplus = sum(not uf.union(u, v) for u, v, _ in (edges[e] for e in current))
+    surplus = sum(not uf.union(u, v) for u, v, _ in scaled.values())
     if not uf.joins(required):
         raise ValueError("edge set does not connect the required nodes")
 
     for _ in range(surplus):
-        power = edge_set_power(edges[e] for e in current)
+        power = edge_set_power(scaled[e] for e in current)
         best = None
         for eid in sorted(current):
-            rest = [edges[e] for e in current if e != eid]
-            if not connects(instance.node_count, rest, edges[eid][:2]):
+            rest = [scaled[e] for e in current if e != eid]
+            if not connects(instance.node_count, rest, scaled[eid][:2]):
                 continue  # a bridge
             cand = (edge_set_power(rest) - power, eid)
             if best is None or cand < best:
                 best = cand
         current.remove(best[1])
 
-    return strip_leaves(edges, current, required)
+    return strip_leaves(instance.edges, current, required)

@@ -4,7 +4,9 @@ Each oracle deliberately avoids the implementation path it checks: paths by
 simple-path enumeration, trees by acyclic-edge-subset enumeration, costs by
 the same subset sweep, and tiny LPs by rational vertex enumeration. The
 `*_reference` functions keep earlier implementations whose replacements
-must give the same results, ties included.
+must give the same results, ties included. Every oracle computes on the
+instance's Fraction costs, never on the scaled int weights the package's
+solvers use.
 """
 
 from __future__ import annotations
@@ -14,10 +16,19 @@ from fractions import Fraction
 from itertools import combinations
 
 from powertree.components import Component, ComponentError
-from powertree.exact import _terminal_tree
-from powertree.instance import Instance, edge_set_power
-from powertree.pathpower import capped_state_search
-from powertree.pruning import extract_tree
+from powertree.graph import UnionFind, strip_leaves
+from powertree.instance import Instance
+
+
+def edge_power_reference(instance: Instance, edge_ids) -> Fraction:
+    """Power of an edge set: sum over touched nodes of max incident cost."""
+    node_max: dict[int, Fraction] = {}
+    for eid in edge_ids:
+        u, v, c = instance.edges[eid]
+        for node in (u, v):
+            if node not in node_max or c > node_max[node]:
+                node_max[node] = c
+    return sum(node_max.values(), Fraction(0))
 
 
 def min_power_path_bruteforce(instance: Instance, src: int, dst: int) -> Fraction | None:
@@ -72,7 +83,7 @@ def min_power_tree_bruteforce(instance: Instance, required: frozenset[int]) -> F
             continue
         if len({find(t) for t in required}) != 1:
             continue
-        p = edge_set_power(instance.edges[e] for e in ids)
+        p = edge_power_reference(instance, ids)
         if best is None or p < best:
             best = p
     return best
@@ -391,7 +402,60 @@ def dreyfus_wagner_reference(instance: Instance) -> list[int]:
             reconstruct(mask, u)
 
     reconstruct(full, terms[0])
-    return _terminal_tree(instance, edges)
+    uf = UnionFind(instance.node_count)
+    forest = [eid for eid in sorted(edges, key=lambda e: (instance.cost(e), e))
+              if uf.union(instance.edges[eid][0], instance.edges[eid][1])]
+    return strip_leaves(instance.edges, forest, instance.terminals)
+
+
+def capped_state_search_reference(
+    instance: Instance,
+    src: int,
+    cap_src: Fraction,
+    forbidden: frozenset[int] | None = None,
+) -> dict[tuple[int, int], tuple[Fraction, int, tuple[int, ...], tuple[int, ...]]]:
+    """The min-power state search on Fraction costs: best accrued power per
+    state (node, entering edge id) from src, paying max(cap_src, first edge
+    cost) first; ties prefer fewer edges, then the smallest node sequence."""
+    best: dict[tuple[int, int], tuple[Fraction, int, tuple[int, ...], tuple[int, ...]]] = {}
+    heap: list[tuple[Fraction, int, tuple[int, ...], tuple[int, ...], int, int]] = []
+
+    def offer(state, power, n_edges, nodes, edges):
+        cur = best.get(state)
+        val = (power, n_edges, nodes, edges)
+        if cur is None or val[:3] < cur[:3]:
+            best[state] = val
+            heapq.heappush(heap, (power, n_edges, nodes, edges, state[0], state[1]))
+
+    for eid in instance.adjacency[src]:
+        other = instance.other_end(eid, src)
+        if forbidden and other in forbidden:
+            continue
+        c = instance.cost(eid)
+        offer((other, eid), max(cap_src, c), 1, (src, other), (eid,))
+
+    done: set[tuple[int, int]] = set()
+    while heap:
+        power, n_edges, nodes, edges, node, eid = heapq.heappop(heap)
+        state = (node, eid)
+        if state in done or best.get(state, ())[:3] != (power, n_edges, nodes):
+            continue
+        done.add(state)
+        c_in = instance.cost(eid)
+        for nxt in instance.adjacency[node]:
+            other = instance.other_end(nxt, node)
+            if other in nodes:
+                continue
+            if forbidden and other in forbidden:
+                continue
+            offer(
+                (other, nxt),
+                power + max(c_in, instance.cost(nxt)),
+                n_edges + 1,
+                nodes + (other,),
+                edges + (nxt,),
+            )
+    return best
 
 
 def component_three_reference(instance: Instance, Q: frozenset[int]) -> Component:
@@ -399,7 +463,7 @@ def component_three_reference(instance: Instance, Q: frozenset[int]) -> Componen
     terminal junction, and the tree's power recomputed from its edges."""
     def entering(q: int) -> dict[int, list[tuple[int, Fraction, tuple[int, ...]]]]:
         by_node: dict[int, list[tuple[int, Fraction, tuple[int, ...]]]] = {}
-        for (node, eid), (power, _, _, edge_path) in capped_state_search(instance, q, Fraction(0)).items():
+        for (node, eid), (power, _, _, edge_path) in capped_state_search_reference(instance, q, Fraction(0)).items():
             by_node.setdefault(node, []).append((eid, power, edge_path))
         for opts in by_node.values():
             opts.sort(key=lambda o: (o[1], o[0]))
@@ -448,6 +512,6 @@ def component_three_reference(instance: Instance, Q: frozenset[int]) -> Componen
     union: set[int] = set()
     for path in best[1]:
         union.update(path)
-    tree = extract_tree(instance, union, Q)
-    power = edge_set_power([instance.edges[e] for e in tree])
+    tree = extract_tree_reference(instance, union, Q)
+    power = edge_power_reference(instance, tree)
     return Component(Q, None, tuple(tree), power)

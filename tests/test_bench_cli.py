@@ -238,6 +238,25 @@ def test_cli_gen_reduction_past_file_limits_exits_1(capsys):
     assert err["type"] == "InstanceError" and "file limits" in err["error"]
 
 
+def test_cli_gen_huge_two_level_cost_exits_1(capsys):
+    start = time.perf_counter()
+    assert main(["gen", "--kind", "two-level", "--nodes", "6", "--terminals", "3",
+                 "--seed", "1", "--high", "1e10000000"]) == 1
+    assert time.perf_counter() - start < 1.0
+    err = json.loads(capsys.readouterr().err)
+    assert err["type"] == "InstanceError" and "digits" in err["error"]
+
+
+def test_bench_huge_two_level_cost_exits_1(tmp_path, capsys):
+    cfg = tmp_path / "suite.cfg"
+    cfg.write_text("instance gen:two-level nodes=6 terminals=3 seed=1 high=1e10000000\nsolver mst\n")
+    start = time.perf_counter()
+    assert main(["bench", str(cfg), "--out", str(tmp_path / "r.csv")]) == 1
+    assert time.perf_counter() - start < 1.0
+    err = json.loads(capsys.readouterr().err)
+    assert err["type"] == "InstanceError" and "digits" in err["error"]
+
+
 def test_cli_decompose_and_analyze(tmp_path, capsys):
     inst = generate("uniform-random", 7, 4, 21)
     ipath = tmp_path / "x.mpst"

@@ -22,6 +22,12 @@ differ in anything else. Records:
              each generator kind with 0/30/60/90% of its costs zeroed, where
              equal-power spiders are common
   pair       min_power_component on every terminal pair
+  rational   each generator kind with every edge cost divided by its own
+             small prime and by 10^12, so the common denominator runs to
+             about 10^40: enumerate_columns at k=3 and k=4,
+             min_power_component and min_power_path on every terminal pair,
+             exact_min_power and the baselines in both modes, and irr_solve
+             (k=3) in both modes
   lp         solve_lp rows, x and objective history
   bench      bench-oracle suite CSVs without the wall_time_s column, on its
              own pool and at threads = 1, a suite whose exact rows raise, and
@@ -43,6 +49,7 @@ import random
 import sys
 import tempfile
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -155,6 +162,39 @@ def analysis_records() -> None:
                         emit("analysis", key + ["stats", v, i], sorted(asdict(rep).items()))
 
 
+def rational_records() -> None:
+    import powertree as pt
+    from powertree.bench import run_solver, with_mode
+    from powertree.exact import SolverError
+    from powertree.generators import GENERATOR_KINDS
+
+    primes = [p for p in range(2, 120) if all(p % q for q in range(2, p))]
+    for kind in GENERATOR_KINDS:
+        for s in range(4):
+            nodes = 4 + s % 2 if kind == "reduction-wrapped" else 6 + s % 2
+            base = pt.generate(kind, nodes, 4, 18_000 + s, edge_prob=0.5, cost_max=9)
+            inst = base.with_costs([c / (primes[e] * 10**12) for e, (_, _, c) in enumerate(base.edges)])
+            key = [kind, s]
+            for k in (3, 4):
+                emit("rational", key + ["columns", k], [[sorted(c.terminal_set), c.sink, list(c.edges), str(c.power)]
+                                                        for c in pt.enumerate_columns(inst, k)])
+            terms = sorted(inst.terminals)
+            for a, b in combinations(terms, 2):
+                comp = pt.min_power_component(inst, {a, b}, 2)
+                path = pt.min_power_path(inst, a, b)
+                emit("rational", key + ["pair", a, b],
+                     [list(comp.edges), str(comp.power), list(path.nodes), list(path.edges), str(path.power)])
+            for mode in ("steiner", "spanning"):
+                for solver in ("exact", "mst", "steiner-cost"):
+                    try:
+                        tree, _ = run_solver(inst, solver, mode, 3, 0, None)
+                        emit("rational", key + [mode, solver], tree_record(tree))
+                    except SolverError as exc:
+                        emit("rational", key + [mode, solver], f"SolverError: {exc}")
+                tree, trace = pt.irr_solve(with_mode(inst, mode), 3, s)
+                emit("rational", key + [mode, "irr"], [tree_record(tree), [r.to_record() for r in trace.records]])
+
+
 def main(src: str) -> None:
     sys.path.insert(0, src)
     sys.path.insert(1, str(ROOT / "perfbench"))
@@ -246,6 +286,8 @@ def main(src: str) -> None:
                 cols = pt.enumerate_columns(inst, 3)
                 emit("columns", [kind, fraction, s],
                      [[sorted(c.terminal_set), c.sink, list(c.edges), str(c.power)] for c in cols])
+
+    rational_records()
 
     w = WORKLOADS["bench-oracle"]
     for u in range(6):
