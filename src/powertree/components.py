@@ -19,6 +19,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import comb
 
+from .graph import strip_leaves
 from .instance import Instance, edge_set_power
 from .pathpower import capped_state_search
 from .pruning import extract_tree
@@ -249,7 +250,9 @@ def _component_three(instance: Instance, Q: frozenset[int], searches: dict) -> C
     junction's max equals the spider's power when legs are disjoint and
     upper-bounds a contained tree otherwise, so the minimum over candidates
     is exactly the optimum. The tree is recovered by pruning the argmin leg
-    union, which never raises power, so its power is that minimum.
+    union, which never raises power, so its power is that minimum. The union
+    is connected, so with one edge fewer than its nodes it is a tree already
+    and only its non-terminal leaves need stripping.
     """
     q_nodes = sorted(Q)
     enter = [_entering(instance, searches, q) for q in q_nodes]
@@ -278,7 +281,10 @@ def _component_three(instance: Instance, Q: frozenset[int], searches: dict) -> C
     union: set[int] = set()
     for path in best[1]:
         union.update(path)
-    return Component(Q, None, tuple(extract_tree(instance, union, Q)), Fraction(best[0], instance.scale))
+    edges = instance.edges
+    touched = {node for e in union for node in edges[e][:2]}
+    tree = strip_leaves(edges, union, Q) if len(union) == len(touched) - 1 else extract_tree(instance, union, Q)
+    return Component(Q, None, tuple(tree), Fraction(best[0], instance.scale))
 
 
 def _component_pair(instance: Instance, Q: frozenset[int], searches: dict) -> Component:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .graph import UnionFind, connects
 
@@ -169,14 +169,25 @@ class Instance:
         return Instance(self.node_count, new_edges, self.terminals, self.root)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PowerTree:
-    """A tree solution: edge ids, per-node powers, total power and total cost."""
+    """A tree solution of `instance`: edge ids, total power and total cost.
+
+    Equality and hashing compare the edges, power and cost, not the instance.
+    """
 
     edges: tuple[int, ...]
-    node_powers: Mapping[int, Fraction]
     total_power: Fraction
     total_cost: Fraction
+    instance: Instance = field(repr=False, compare=False)
+
+    @property
+    def node_powers(self) -> dict[int, Fraction]:
+        """Each tree node's largest incident edge cost; a single terminal with
+        no edges has power 0. Derived from the instance on each access."""
+        if not self.edges:
+            return dict.fromkeys(self.instance.terminals, Fraction(0))
+        return node_maxima(self.instance.edges[e] for e in self.edges)
 
     def to_record(self, solver: str | None = None, seed: int | None = None) -> dict:
         """JSON-compatible record; costs rendered exactly as strings."""
@@ -191,6 +202,17 @@ class PowerTree:
         return rec
 
 
+def node_maxima(edges: Iterable[tuple[int, int, Fraction | int]]) -> dict[int, Fraction | int]:
+    """Each node touched by the (u, v, cost) triples mapped to its largest incident cost."""
+    node_max: dict[int, Fraction | int] = {}
+    for u, v, c in edges:
+        for node in (u, v):
+            cur = node_max.get(node)
+            if cur is None or c > cur:
+                node_max[node] = c
+    return node_max
+
+
 def edge_set_power(edges: Iterable[tuple[int, int, Fraction | int]]) -> Fraction | int:
     """Power of an arbitrary edge set: sum over touched nodes of max incident cost.
 
@@ -198,13 +220,7 @@ def edge_set_power(edges: Iterable[tuple[int, int, Fraction | int]]) -> Fraction
     the API, scaled ints (`Instance.weights`) in the solvers. The power has
     the costs' type, or is the int 0 for no edges.
     """
-    node_max: dict[int, Fraction | int] = {}
-    for u, v, c in edges:
-        for node in (u, v):
-            cur = node_max.get(node)
-            if cur is None or c > cur:
-                node_max[node] = c
-    return sum(node_max.values())
+    return sum(node_maxima(edges).values())
 
 
 def evaluate(instance: Instance, edge_ids: Sequence[int]) -> PowerTree:
@@ -217,7 +233,6 @@ def evaluate(instance: Instance, edge_ids: Sequence[int]) -> PowerTree:
     if len(set(ids)) != len(ids):
         raise InstanceError("cyclic edge set (duplicate edge id)")
     uf = UnionFind(instance.node_count)
-    node_powers: dict[int, Fraction] = {}
     total_cost = Fraction(0)
     for eid in ids:
         if not (0 <= eid < len(instance.edges)):
@@ -226,16 +241,10 @@ def evaluate(instance: Instance, edge_ids: Sequence[int]) -> PowerTree:
         if not uf.union(u, v):
             raise InstanceError("cyclic edge set")
         total_cost += c
-        for node in (u, v):
-            cur = node_powers.get(node)
-            if cur is None or c > cur:
-                node_powers[node] = c
     if not uf.joins(instance.terminals):
         raise InstanceError("edge set does not span all terminals")
-    if not ids and len(instance.terminals) == 1:
-        node_powers = {next(iter(instance.terminals)): Fraction(0)}
-    total_power = sum(node_powers.values(), Fraction(0))
-    return PowerTree(tuple(sorted(ids)), node_powers, total_power, total_cost)
+    total_power = sum(node_maxima(instance.edges[e] for e in ids).values(), Fraction(0))
+    return PowerTree(tuple(sorted(ids)), total_power, total_cost, instance)
 
 
 def check_printable(edges: Iterable[tuple[int, int, Fraction]]) -> None:

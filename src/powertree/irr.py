@@ -1,11 +1,14 @@
 """Iterative randomized rounding for min-power Steiner tree.
 
-Each iteration recomputes the column LP on the current costs, samples one
-column (Q, s) with probability proportional to x_{Q,s} (which makes the
-sampled terminal set Q appear with probability proportional to its summed
-mass), zeroes the sampled component's edge costs, and halts once the
-zero-cost subgraph connects the terminals. Edges are zeroed, never
-contracted: contraction could silently change node powers.
+Each iteration samples one column (Q, s) of the column LP on the current
+costs with probability proportional to x_{Q,s} (which makes the sampled
+terminal set Q appear with probability proportional to its summed mass),
+zeroes the sampled component's edge costs, and halts once the zero-cost
+subgraph connects the terminals. Edges are zeroed, never contracted:
+contraction could silently change node powers. The columns and the LP are
+recomputed only after a sample zeroes some edge; a sample whose edges all
+cost 0 already leaves the costs, and so the columns and x, as they were, and
+the next iteration draws again from the same x.
 """
 
 from __future__ import annotations
@@ -52,9 +55,11 @@ class IterationRecord:
 @dataclass
 class RunTrace:
     """Per-iteration log of one run. RNG discipline: exactly one uniform draw
-    per sampling iteration, in iteration order. A single-terminal instance
-    has no columns to sample; its trace holds one sentinel iteration with no
-    sampled component."""
+    per sampling iteration, in iteration order. An iteration whose record has
+    `new_zero_edges` 0 changed no cost, so the next one samples the same LP
+    solution (its `lp_objective` repeats). A single-terminal instance has no
+    columns to sample; its trace holds one sentinel iteration with no sampled
+    component."""
 
     seed: int
     records: list[IterationRecord] = field(default_factory=list)
@@ -105,11 +110,14 @@ def irr_solve(
     trace = RunTrace(seed=seed)
     costs = [c for _, _, c in instance.edges]
     current = instance  # rebuilt only when a sampled component zeroes costs
+    columns = None  # recomputed, with the LP, only when the costs change
 
     for iteration in range(1, max_iters + 1):
-        columns = enumerate_columns(current, k)
+        if columns is None:
+            columns = enumerate_columns(current, k)
+            state = solve_lp(current, columns) if columns else None
+        new_zeros = 0
         if columns:
-            state = solve_lp(current, columns)
             total_mass = state.column_mass()
             draw = rng.random()
             target = draw * total_mass
@@ -127,15 +135,18 @@ def irr_solve(
                 raise IrrError("no sampleable column (zero LP mass)", trace)
             comp = columns[pick]
             new_zeros = sum(1 for e in comp.edges if current.weights[e])
-            for e in comp.edges:
-                costs[e] = 0
             trace.records.append(IterationRecord(
                 iteration, state.objective, tuple(sorted(comp.terminal_set)),
                 comp.sink, comp.power, new_zeros,
             ))
-            current = instance.with_costs(costs)
+            if new_zeros:
+                for e in comp.edges:
+                    costs[e] = 0
+                current = instance.with_costs(costs)
+                columns = None
         else:
             trace.records.append(IterationRecord(iteration, 0.0, None, None, None, 0))
-        if zero_power_tree_exists(current):
+        # unchanged costs already failed this check, except before the first one
+        if (new_zeros or iteration == 1) and zero_power_tree_exists(current):
             return prune(instance, [e for e, w in enumerate(current.weights) if not w]), trace
     raise IrrError(f"iteration cap {max_iters} reached without a zero-power tree", trace)

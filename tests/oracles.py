@@ -6,18 +6,22 @@ the same subset sweep, and tiny LPs by rational vertex enumeration. The
 `*_reference` functions keep earlier implementations whose replacements
 must give the same results, ties included. Every oracle computes on the
 instance's Fraction costs, never on the scaled int weights the package's
-solvers use.
+solvers use, except `irr_solve_reference`, which keeps an earlier IRR loop
+around the package's own layers.
 """
 
 from __future__ import annotations
 
 import heapq
+import random
 from fractions import Fraction
 from itertools import combinations
 
-from powertree.components import Component, ComponentError
+from powertree.components import Component, ComponentError, enumerate_columns
 from powertree.graph import UnionFind, strip_leaves
 from powertree.instance import Instance
+from powertree.irr import IrrError, IterationRecord, RunTrace, prune, zero_power_tree_exists
+from powertree.lp import solve_lp
 
 
 def edge_power_reference(instance: Instance, edge_ids) -> Fraction:
@@ -515,3 +519,65 @@ def component_three_reference(instance: Instance, Q: frozenset[int]) -> Componen
     tree = extract_tree_reference(instance, union, Q)
     power = edge_power_reference(instance, tree)
     return Component(Q, None, tuple(tree), power)
+
+
+def irr_solve_reference(instance: Instance, k: int, seed: int, max_iters: int | None = None):
+    """The IRR loop that recomputed the columns and the LP after every
+    draw, zeroing an edge or not; it calls the package's own column, LP and
+    pruning layers, so it checks only the loop around them."""
+    if max_iters is None:
+        max_iters = max(1, 50 * len(instance.edges))
+    if max_iters < 1:
+        raise ValueError("max_iters must be >= 1")
+    rng = random.Random(seed)
+    trace = RunTrace(seed=seed)
+    costs = [c for _, _, c in instance.edges]
+    current = instance
+
+    for iteration in range(1, max_iters + 1):
+        columns = enumerate_columns(current, k)
+        if columns:
+            state = solve_lp(current, columns)
+            total_mass = state.column_mass()
+            draw = rng.random()
+            target = draw * total_mass
+            pick = None
+            acc = 0.0
+            for j in range(len(columns)):
+                xv = state.x.get(j, 0.0)
+                if xv <= 0.0:
+                    continue
+                acc += xv
+                pick = j
+                if target < acc:
+                    break
+            if pick is None:
+                raise IrrError("no sampleable column (zero LP mass)", trace)
+            comp = columns[pick]
+            new_zeros = sum(1 for e in comp.edges if current.weights[e])
+            for e in comp.edges:
+                costs[e] = 0
+            trace.records.append(IterationRecord(
+                iteration, state.objective, tuple(sorted(comp.terminal_set)),
+                comp.sink, comp.power, new_zeros,
+            ))
+            current = instance.with_costs(costs)
+        else:
+            trace.records.append(IterationRecord(iteration, 0.0, None, None, None, 0))
+        if zero_power_tree_exists(current):
+            return prune(instance, [e for e, w in enumerate(current.weights) if not w]), trace
+    raise IrrError(f"iteration cap {max_iters} reached without a zero-power tree", trace)
+
+
+def node_powers_reference(instance: Instance, edge_ids) -> dict[int, Fraction]:
+    """The per-node powers `evaluate` used to store in every `PowerTree`."""
+    node_powers: dict[int, Fraction] = {}
+    for eid in edge_ids:
+        u, v, c = instance.edges[eid]
+        for node in (u, v):
+            cur = node_powers.get(node)
+            if cur is None or c > cur:
+                node_powers[node] = c
+    if not edge_ids and len(instance.terminals) == 1:
+        node_powers = {next(iter(instance.terminals)): Fraction(0)}
+    return node_powers

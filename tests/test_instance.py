@@ -4,8 +4,9 @@ from fractions import Fraction as F
 
 import pytest
 
+from powertree.bench import run_solver, with_mode
 from powertree.exact import exact_min_power
-from powertree.generators import generate
+from powertree.generators import GENERATOR_KINDS, generate
 from powertree.instance import (
     Instance,
     MAX_COST_DIGITS,
@@ -17,7 +18,7 @@ from powertree.instance import (
     reduce_cost_to_power,
     serialize,
 )
-from oracles import min_cost_tree_bruteforce, min_power_tree_bruteforce
+from oracles import min_cost_tree_bruteforce, min_power_tree_bruteforce, node_powers_reference
 
 
 def test_parse_minimal():
@@ -123,6 +124,44 @@ def test_evaluate_path():
     assert tree.total_cost == 4
     assert tree.total_power == 7
     assert tree.node_powers == {0: F(1), 1: F(3), 2: F(3)}
+
+
+def test_tree_node_powers_match_stored_dict():
+    # node powers are derived on access; they and the record must equal what
+    # evaluate used to store, on every solver's trees
+    single = Instance(2, ((0, 1, F(4)),), frozenset({1}), 1)
+    cases = [(single, "steiner")] + [
+        (with_mode(generate(kind, 3 if kind == "reduction-wrapped" else 6, 3, 18_000 + s, edge_prob=0.4), mode),
+         mode)
+        for kind in GENERATOR_KINDS for mode in ("steiner", "spanning") for s in range(2)
+    ]
+    for inst, mode in cases:
+        for solver in ("irr", "exact", "mst", "steiner-cost"):
+            tree = run_solver(inst, solver, mode, 3, 0, None)[0]
+            want = node_powers_reference(inst, tree.edges)
+            assert tree.node_powers == want
+            assert tree.to_record("s", 1) == {
+                "edges": list(tree.edges),
+                "node_powers": {str(v): format_cost(p) for v, p in sorted(want.items())},
+                "total_power": format_cost(tree.total_power),
+                "total_cost": format_cost(tree.total_cost),
+                "solver": "s",
+                "seed": 1,
+            }
+            assert not hasattr(tree, "__dict__")
+    assert run_solver(single, "exact", "steiner", 3, 0, None)[0].node_powers == {1: 0}
+
+
+def test_tree_equality():
+    text = "nodes 3\nedge 0 1 1\nedge 1 2 3\nedge 0 2 2\nterminals 0 1 2\nroot 0\n"
+    inst = parse_instance(text)
+    assert evaluate(inst, [1, 0]) == evaluate(inst, [0, 1])
+    assert evaluate(inst, [0, 1]) != evaluate(inst, [0, 2])
+    assert len({evaluate(inst, [1, 0]), evaluate(inst, [0, 1])}) == 1
+    # across instances only edges, power and cost count, not node powers
+    swapped = parse_instance(text.replace("edge 0 1 1", "edge 0 1 3").replace("edge 1 2 3", "edge 1 2 1"))
+    assert evaluate(swapped, [0, 1]) == evaluate(inst, [0, 1])
+    assert evaluate(swapped, [0, 1]).node_powers != evaluate(inst, [0, 1]).node_powers
 
 
 def test_evaluate_errors():

@@ -3,9 +3,12 @@ from fractions import Fraction as F
 
 import pytest
 
+import powertree.irr as irr_module
+from oracles import irr_solve_reference
+from powertree.bench import with_mode
 from powertree.components import ComponentError
 from powertree.exact import exact_min_power
-from powertree.generators import generate
+from powertree.generators import GENERATOR_KINDS, generate
 from powertree.instance import Instance, evaluate, parse_instance
 from powertree.irr import IrrError, irr_solve, prune, zero_power_tree_exists
 
@@ -150,3 +153,49 @@ def test_mean_ratio_close_to_optimal():
         assert tree.total_power >= exact
         ratios.append(float(tree.total_power / exact))
     assert sum(ratios) / len(ratios) <= 1.55
+
+
+def test_loop_matches_reference(monkeypatch):
+    # the loop redraws from the same LP while a draw zeroes nothing; every
+    # record, every tree and the IrrError of a cap must match the loop that
+    # recomputed the columns and the LP after each draw
+    real = irr_module.enumerate_columns
+    calls = 0
+
+    def counting(instance, k):
+        nonlocal calls
+        calls += 1
+        return real(instance, k)
+
+    monkeypatch.setattr(irr_module, "enumerate_columns", counting)
+    runs = redraws = capped = 0
+    for kind in GENERATOR_KINDS:
+        for mode in ("steiner", "spanning"):
+            for k in (2, 3, 4):
+                for s in range(3):
+                    if kind == "reduction-wrapped":  # three edges per base edge; k=4 spanning is slow
+                        nodes = terms = 2 if (mode, k) == ("spanning", 4) else 3
+                        prob = 0.0
+                    else:
+                        nodes, terms, prob = 5 + s % 2, 3 + s % 2, 0.4
+                    inst = with_mode(generate(kind, nodes, terms, 33_000 + s, edge_prob=prob, cost_max=3), mode)
+                    for cap in (None, 2):
+                        try:
+                            want = irr_solve_reference(inst, k, s, max_iters=cap)
+                        except IrrError as exc:
+                            with pytest.raises(IrrError) as got:
+                                irr_solve(inst, k, s, max_iters=cap)
+                            assert [r.to_record() for r in got.value.trace.records] == \
+                                [r.to_record() for r in exc.trace.records]
+                            capped += 1
+                            continue
+                        calls = 0
+                        tree, trace = irr_solve(inst, k, s, max_iters=cap)
+                        assert tree == want[0] and tree.to_record() == want[0].to_record()
+                        records = [r.to_record() for r in trace.records]
+                        assert records == [r.to_record() for r in want[1].records], (kind, mode, k, s, cap)
+                        changed = sum(r.new_zero_edges > 0 for r in trace.records[:-1])
+                        assert calls == 1 + changed
+                        runs += 1
+                        redraws += trace.iterations - 1 - changed
+    assert runs >= 100 and capped >= 20 and redraws >= 100

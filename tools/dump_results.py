@@ -6,7 +6,8 @@ usage: python tools/dump_results.py SRC_DIR > results.jsonl
 SRC_DIR is the `src` directory of the checkout to import `powertree` from.
 Dump two checkouts and compare the files (`cmp`, or `diff` to see which
 records differ). Only public behaviour is recorded, so the two checkouts may
-differ in anything else. Records:
+differ in anything else. A tree is recorded as its edge ids, total power,
+total cost and node powers. Records:
 
   irr        irr_solve tree and full trace: 80 solves on each perfbench irr
              workload's generator, and the four generator kinds in both modes
@@ -60,7 +61,8 @@ def emit(kind: str, key, value) -> None:
 
 
 def tree_record(tree) -> list:
-    return [list(tree.edges), str(tree.total_power), str(tree.total_cost)]
+    powers = [[v, str(p)] for v, p in sorted(tree.node_powers.items())]
+    return [list(tree.edges), str(tree.total_power), str(tree.total_cost), powers]
 
 
 def costed_record(tree) -> list:
