@@ -186,30 +186,6 @@ class MarkedBinaryTree:
     def internal_nodes(self) -> list[int]:
         return sorted(n for n, ch in self.children.items() if ch)
 
-    def path_keys(self, a: int, b: int) -> tuple[int, ...]:
-        """Bin edges (child keys) on the tree path between two nodes."""
-        seen = {}
-        x = a
-        depth_a = self.levels[a]
-        depth_b = self.levels[b]
-        ka: list[int] = []
-        kb: list[int] = []
-        while depth_a > depth_b:
-            ka.append(x)
-            x = self.parent[x]
-            depth_a -= 1
-        y = b
-        while depth_b > depth_a:
-            kb.append(y)
-            y = self.parent[y]
-            depth_b -= 1
-        while x != y:
-            ka.append(x)
-            kb.append(y)
-            x = self.parent[x]
-            y = self.parent[y]
-        return tuple(ka + kb[::-1])
-
 
 def build_binary_tree(tree: CostedTree) -> MarkedBinaryTree:
     """Split one edge (smallest index), root there, binarize with cost-0
@@ -350,15 +326,6 @@ class WitnessStructure:
                 raise AnalysisError(f"empty witness set for edge {orig}")
 
 
-def _pair_paths(sbin: MarkedBinaryTree) -> dict[tuple[int, int], tuple[int, ...]]:
-    terms = sorted(sbin.terminals)
-    return {
-        (a, b): sbin.path_keys(a, b)
-        for i, a in enumerate(terms)
-        for b in terms[i + 1:]
-    }
-
-
 def _draw_marks(sbin: MarkedBinaryTree, rng: random.Random) -> frozenset[int]:
     marks = set()
     for node in sbin.internal_nodes():
@@ -367,27 +334,39 @@ def _draw_marks(sbin: MarkedBinaryTree, rng: random.Random) -> frozenset[int]:
     return frozenset(marks)
 
 
-def _derive(sbin: MarkedBinaryTree, marks: frozenset[int], pair_paths) -> WitnessStructure:
+def _descent(sbin: MarkedBinaryTree, node: int, marks: frozenset[int]) -> list[int]:
+    """`node` and the nodes below it on its unmarked descent; the last is a leaf."""
+    path = [node]
+    while sbin.children.get(node):
+        node = next(ch for ch in sbin.children[node] if ch not in marks)
+        path.append(node)
+    return path
+
+
+def _derive(sbin: MarkedBinaryTree, marks: frozenset[int]) -> WitnessStructure:
+    """T* joins, at each internal node, the leaves its two children reach by
+    unmarked descents. Their bin path is the two descents, and its one mark
+    is the node's marked child; every other terminal pair's path holds at
+    least two. Each bin edge on the two descents witnesses the pair."""
     witness_edges = []
     witness_map: dict[int, set[tuple[int, int]]] = {key: set() for key in sbin.parent}
-    for pair, keys in pair_paths.items():
-        marked = sum(1 for k in keys if k in marks)
-        if marked == 1:
-            witness_edges.append(pair)
-            for k in keys:
-                witness_map[k].add(pair)
+    for node in sbin.internal_nodes():
+        left, right = (_descent(sbin, ch, marks) for ch in sbin.children[node])
+        pair = (min(left[-1], right[-1]), max(left[-1], right[-1]))
+        witness_edges.append(pair)
+        for key in left + right:
+            witness_map[key].add(pair)
     return WitnessStructure(
-        sbin, marks, tuple(witness_edges),
+        sbin, marks, tuple(sorted(witness_edges)),
         {k: frozenset(v) for k, v in witness_map.items()},
     )
 
 
 def sample_witness(sbin: MarkedBinaryTree, seed: int) -> WitnessStructure:
     """Mark one child edge per internal node uniformly at random and derive
-    the witness tree T* (terminal pairs whose bin path holds exactly one
-    mark) together with all witness sets."""
+    the witness tree T* together with all witness sets."""
     rng = random.Random(seed)
-    return _derive(sbin, _draw_marks(sbin, rng), _pair_paths(sbin))
+    return _derive(sbin, _draw_marks(sbin, rng))
 
 
 @dataclass(frozen=True)
@@ -459,7 +438,6 @@ def witness_stats(
         )
     d_prime = d_candidates[0]
 
-    pair_paths = _pair_paths(sbin)
     hits = 0
     histogram: dict[int, int] = {}
     harmonic_sum = 0.0
@@ -467,7 +445,7 @@ def witness_stats(
     for trial in range(trials):
         rng = random.Random(f"{seed}:{trial}")
         marks = _draw_marks(sbin, rng)
-        ws = _derive(sbin, marks, pair_paths)
+        ws = _derive(sbin, marks)
         ws.validate()
 
         # s': unmarked descent within T'
@@ -481,12 +459,7 @@ def witness_stats(
             hits += 1
 
         # C': expand T' leaves by unmarked descents in the full tree
-        leaves_c: set[int] = set()
-        for leaf in t_leaves:
-            x = leaf
-            while sbin.children.get(x):
-                x = next(ch for ch in sbin.children[x] if ch not in marks)
-            leaves_c.add(x)
+        leaves_c = {_descent(sbin, leaf, marks)[-1] for leaf in t_leaves}
         within = sum(
             1 for a, b in ws.witness_edges if a in leaves_c and b in leaves_c
         )

@@ -210,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance")
     p.add_argument("--algo", choices=bench.KNOWN_SOLVERS, required=True)
     p.add_argument("--spanning", action="store_true", help="treat every node as a terminal")
-    p.add_argument("--k", type=int, default=3, help="component size cap for irr")
+    p.add_argument("--k", type=int, default=3, choices=range(2, 5), help="component size cap for irr")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-iters", type=int, default=None)
     p.add_argument("--trace", default=None, help="write the per-iteration trace as JSONL")
@@ -225,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("component", help="min-power component on a terminal subset")
     p.add_argument("instance")
     p.add_argument("--terminals", required=True, help="comma-separated terminal ids")
-    p.add_argument("--k", type=int, default=4)
+    p.add_argument("--k", type=int, default=4, choices=range(1, 5))
     p.set_defaults(func=cmd_component)
 
     p = sub.add_parser("decompose", help="decompose a tree into components")
@@ -239,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lp", help="solve the component cut LP")
     p.add_argument("instance")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=int, required=True, choices=range(2, 5))
     p.add_argument("--tol", type=float, default=1e-7)
     p.set_defaults(func=cmd_lp)
 

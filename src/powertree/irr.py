@@ -123,8 +123,8 @@ def irr_solve(
             target = draw * total_mass
             pick = None
             acc = 0.0
-            for j in range(len(columns)):
-                xv = state.x.get(j, 0.0)
+            for j in sorted(state.x):
+                xv = state.x[j]
                 if xv <= 0.0:
                     continue
                 acc += xv

@@ -211,7 +211,7 @@ def separate(
     """
     terms = sorted(instance.terminals)
     index = {t: i for i, t in enumerate(terms)}
-    live = [j for j in range(len(columns)) if x.get(j, 0.0) > 0.0]
+    live = [j for j in sorted(x) if x[j] > 0.0]
     net = _FlowNet(len(terms) + len(live))
     inf = sum(x.values()) + 1.0
     for gadget, j in enumerate(live, len(terms)):

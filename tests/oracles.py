@@ -581,3 +581,49 @@ def node_powers_reference(instance: Instance, edge_ids) -> dict[int, Fraction]:
     if not edge_ids and len(instance.terminals) == 1:
         node_powers = {next(iter(instance.terminals)): Fraction(0)}
     return node_powers
+
+
+def _path_keys_reference(sbin, a: int, b: int) -> tuple[int, ...]:
+    """Bin edges (child keys) on the binarized tree's path between two nodes."""
+    x = a
+    depth_a = sbin.levels[a]
+    depth_b = sbin.levels[b]
+    ka: list[int] = []
+    kb: list[int] = []
+    while depth_a > depth_b:
+        ka.append(x)
+        x = sbin.parent[x]
+        depth_a -= 1
+    y = b
+    while depth_b > depth_a:
+        kb.append(y)
+        y = sbin.parent[y]
+        depth_b -= 1
+    while x != y:
+        ka.append(x)
+        kb.append(y)
+        x = sbin.parent[x]
+        y = sbin.parent[y]
+    return tuple(ka + kb[::-1])
+
+
+def witness_reference(sbin, marks: frozenset[int]):
+    """Witness tree T* and witness sets from the all-pairs definition: every
+    terminal pair whose bin path holds exactly one mark is a T* edge, and
+    each bin edge on that path witnesses it. Returns (witness_edges,
+    witness_map) in the form of `WitnessStructure`."""
+    terms = sorted(sbin.terminals)
+    pair_paths = {
+        (a, b): _path_keys_reference(sbin, a, b)
+        for i, a in enumerate(terms)
+        for b in terms[i + 1:]
+    }
+    witness_edges = []
+    witness_map: dict[int, set[tuple[int, int]]] = {key: set() for key in sbin.parent}
+    for pair, keys in pair_paths.items():
+        marked = sum(1 for k in keys if k in marks)
+        if marked == 1:
+            witness_edges.append(pair)
+            for k in keys:
+                witness_map[k].add(pair)
+    return tuple(witness_edges), {k: frozenset(v) for k, v in witness_map.items()}

@@ -18,8 +18,11 @@ from powertree.analysis import (
     theoretical_factor,
     witness_stats,
 )
-from powertree.analysis import _derive, _pair_paths
+from powertree.analysis import _derive, _draw_marks
+from powertree.decomposition import attach_dummy_leaves
 from powertree.trees import CostedTree, random_full_component
+
+from oracles import witness_reference
 
 
 def steiner_series_reference(i: int, terms: int = 200) -> float:
@@ -192,7 +195,7 @@ def test_witness_sets_hand_computed():
     assert sorted(sbin.edge_origs[1]) == [0, 1]
 
     marks = frozenset({2, 4})  # mark the b-edge at the root and the d-edge at z
-    ws = _derive(sbin, marks, _pair_paths(sbin))
+    ws = _derive(sbin, marks)
     ws.validate()
     assert set(ws.witness_edges) == {(2, 3), (3, 4)}
     assert ws.witness_set(2) == frozenset({(2, 3), (3, 4)})  # cost-8 edge
@@ -211,6 +214,35 @@ def test_sampled_witness_is_always_spanning_tree():
         for key, wset in ws.witness_map.items():
             flat |= wset
         assert flat <= set(ws.witness_edges)
+
+
+def random_recursive_tree(seed: int) -> CostedTree:
+    # leaves and some inner nodes are terminals; cost-0 edges included
+    rng = random.Random(seed)
+    n = rng.randint(2, 14)
+    edges = tuple((rng.randrange(i), i, F(rng.randint(0, 9))) for i in range(1, n))
+    deg = [0] * n
+    for u, v, _ in edges:
+        deg[u] += 1
+        deg[v] += 1
+    terms = {v for v in range(n) if deg[v] <= 1 or rng.random() < 0.3}
+    return CostedTree(edges, frozenset(terms))
+
+
+def test_derive_matches_all_pairs_reference():
+    trees = [random_full_component(92_000 + seed) for seed in range(40)]
+    trees += [
+        random_full_component(93_000 + seed, terminal_count=28 + seed, degree_cap=3 + seed % 3)
+        for seed in range(22)
+    ]
+    trees += [attach_dummy_leaves(random_recursive_tree(94_000 + seed)) for seed in range(40)]
+    trees += [random_full_component(95_000 + seed, terminal_count=200, degree_cap=4) for seed in range(2)]
+    for tree in trees:
+        sbin = build_binary_tree(tree)
+        for draw in range(3):
+            marks = _draw_marks(sbin, random.Random(draw))
+            ws = _derive(sbin, marks)
+            assert (ws.witness_edges, ws.witness_map) == witness_reference(sbin, marks)
 
 
 def test_witness_stats_matches_marking_probability():

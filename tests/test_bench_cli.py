@@ -188,6 +188,18 @@ def test_cli_unknown_flag_exits_2(tmp_path):
     assert info.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", "x.mpst", "--algo", "exact", "--k", "9"],
+    ["lp", "x.mpst", "--k", "1"],
+    ["component", "x.mpst", "--terminals", "0,1", "--k", "5"],
+])
+def test_cli_k_out_of_range_exits_2(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert "--k: invalid choice" in capsys.readouterr().err
+
+
 def test_cli_error_record(tmp_path, capsys):
     code = main(["solve", str(tmp_path / "missing.mpst"), "--algo", "exact"])
     assert code == 1

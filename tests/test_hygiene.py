@@ -1,9 +1,12 @@
 """Static checks over the package sources."""
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "powertree"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "powertree"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -34,3 +37,18 @@ def test_package_has_no_unused_imports():
         if path.name != "__init__.py"
     }
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def test_tracer_names_resolve():
+    # the benchmark tracer wraps these names by lookup; a rename or deletion
+    # in the package would otherwise surface only when tracing
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = [
+        (modname, name) for modname, name, _ in tracer.WRAPPED
+        if not callable(getattr(importlib.import_module(modname), name, None))
+    ]
+    assert missing == []
+    from powertree.instance import Instance
+    assert callable(getattr(Instance, "with_costs", None))
