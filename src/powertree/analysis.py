@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import sqrt
 
-from .graph import rooted_children, tree_fault
+from .graph import chains, rooted_children, tree_fault
 from .trees import CostedTree, validate_full_component
 
 
@@ -168,8 +168,9 @@ class MarkedBinaryTree:
 
     Bin edges are keyed by their lower endpoint (every non-root node has one
     parent edge). Dummy edges cost 0; each bin edge carries the original edge
-    indices it stands for (several after degree-2 shortcuts, none for pure
-    dummies). Built unmarked; witness sampling supplies marks separately.
+    indices it stands for (several for a contracted chain of single-child
+    nodes, none for pure dummies). Built unmarked; witness sampling supplies
+    marks separately.
     """
 
     source: CostedTree
@@ -188,102 +189,68 @@ class MarkedBinaryTree:
 
 
 def build_binary_tree(tree: CostedTree) -> MarkedBinaryTree:
-    """Split one edge (smallest index), root there, binarize with cost-0
-    dummy chains placing the most expensive child edges on the highest
-    consecutive levels, then shortcut single-child nodes.
+    """Split one edge (smallest index) and root there; contract each chain of
+    single-child nodes into one bin edge and binarize with cost-0 dummy
+    chains placing the most expensive child edges on the highest consecutive
+    levels.
     """
     validate_full_component(tree)
     if len(tree.terminals) < 2:
         raise AnalysisError("binarization needs at least 2 terminals")
-    next_id = max(tree.nodes) + 1
-    root = next_id
-    next_id += 1
-    u0, v0, c0 = tree.edges[0]
+    root = max(tree.nodes) + 1
+    next_id = root + 1
+    u0, v0, _ = tree.edges[0]
     a0, b0 = (u0, v0) if u0 < v0 else (v0, u0)
 
-    parent: dict[int, int] = {root: -1, a0: root, b0: root}
-    children: dict[int, list[int]] = {root: [a0, b0]}
-    edge_origs: dict[int, tuple[int, ...]] = {a0: (0,), b0: (0,)}
-    edge_cost: dict[int, Fraction] = {a0: c0, b0: c0}
-    dummy: set[int] = set()
-
-    # rooted child lists on the original tree, split at edge 0
+    # rooted child lists on the original tree, split at edge 0 below the new root
     raw_children = rooted_children(tree.edges, a0)
     raw_children[a0] = [(other, idx) for other, idx in raw_children[a0] if idx != 0]
+    raw_children[root] = [(a0, 0), (b0, 0)]
 
-    def attach(p: int, child: int, origs: tuple[int, ...], cost: Fraction, is_dummy: bool) -> None:
+    parent: dict[int, int] = {}
+    # the split edge's endpoints keep a child list even as leaves
+    children: dict[int, list[int]] = {x: [] for x in (a0, b0) if not raw_children[x]}
+    edge_origs: dict[int, tuple[int, ...]] = {}
+    edge_cost: dict[int, Fraction] = {}
+    levels = {root: 0}
+    dummy: set[int] = set()
+
+    def attach(p: int, child: int, origs: tuple[int, ...]) -> None:
         parent[child] = p
         children.setdefault(p, []).append(child)
         edge_origs[child] = origs
-        edge_cost[child] = cost
-        if is_dummy:
+        levels[child] = levels[p] + 1
+        if origs:
+            edge_cost[child] = max(tree.edges[idx][2] for idx in origs)
+        else:
+            edge_cost[child] = Fraction(0)
             dummy.add(child)
 
-    def binarize(node: int) -> None:
-        nonlocal next_id
-        kids = raw_children[node]
-        if len(kids) <= 2:
-            for other, idx in kids:
-                attach(node, other, (idx,), tree.edges[idx][2], False)
-                binarize(other)
-            return
-        # chain: most expensive child edge highest, ties to smallest index
-        ordered = sorted(kids, key=lambda ki: (-tree.edges[ki[1]][2], ki[1]))
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        kids = chains(raw_children, node)
+        ordered = kids
+        if len(kids) > 2:
+            # dummy chain: most expensive first edge highest, ties to smallest index
+            ordered = sorted(kids, key=lambda kp: (-tree.edges[kp[1][0]][2], kp[1][0]))
         holder = node
-        for pos, (other, idx) in enumerate(ordered):
+        for pos, (end, path) in enumerate(ordered):
+            attach(holder, end, tuple(path))
             if pos < len(ordered) - 2:
-                attach(holder, other, (idx,), tree.edges[idx][2], False)
-                w = next_id
+                attach(holder, next_id, ())
+                holder = next_id
                 next_id += 1
-                attach(holder, w, (), Fraction(0), True)
-                holder = w
-            else:
-                attach(holder, other, (idx,), tree.edges[idx][2], False)
-        for other, _ in kids:
-            binarize(other)
+        stack.extend(end for end, _ in reversed(kids))
 
-    children.setdefault(a0, [])
-    children.setdefault(b0, [])
-    binarize(a0)
-    binarize(b0)
-
-    # shortcut single-child nodes (the root keeps both halves); a splice
-    # changes no other node's child count, so one pass finds them all, and
-    # none is a dummy, since every dummy holder gets two children
-    for node in list(children):
-        kids = children[node]
-        if node != root and len(kids) == 1:
-            child = kids[0]
-            p = parent.pop(node)
-            children[p] = [child if x == node else x for x in children[p]]
-            parent[child] = p
-            edge_origs[child] = edge_origs.pop(node) + edge_origs[child]
-            edge_cost[child] = max(edge_cost.pop(node), edge_cost[child])
-            del children[node]
-
-    levels = {root: 0}
-    queue = [root]
-    while queue:
-        node = queue.pop()
-        for ch in children.get(node, ()):  # children order preserved
-            levels[ch] = levels[node] + 1
-            queue.append(ch)
-
-    orig_to_bin: dict[int, int] = {}
-    for child, origs in edge_origs.items():
-        for o in origs:
-            if o == 0 and child == b0:
-                continue  # the split edge maps to its first half
-            orig_to_bin[o] = child
-    orig_to_bin.setdefault(0, a0)
-
-    bad = [n for n, ch in children.items() if len(ch) not in (0, 2)]
-    if bad:
-        raise AnalysisError(f"internal error: non-binary nodes {bad}")
+    orig_to_bin = {idx: end for end, origs in edge_origs.items() for idx in origs}
+    # the split edge maps to the b-side end when b0 was a chain node, else to the a-side end
+    (a_end, _), (b_end, b_path) = chains(raw_children, root)
+    orig_to_bin[0] = b_end if len(b_path) > 1 else a_end
     return MarkedBinaryTree(
         source=tree,
         root=root,
-        parent={k: v for k, v in parent.items() if k != root},
+        parent=parent,
         children={k: tuple(v) for k, v in children.items()},
         edge_origs=edge_origs,
         edge_cost=edge_cost,

@@ -42,6 +42,9 @@ CSV_HEADER = [
 SCHEMA = "powertree-bench-v1"
 
 KNOWN_SOLVERS = ("exact", "mst", "steiner-cost", "irr")
+# most pool threads, and most rows (instances x solvers x reps) in one suite
+MAX_THREADS = 64
+MAX_ROWS = 10_000
 
 
 class BenchError(ValueError):
@@ -96,6 +99,11 @@ def parse_config(text: str) -> SuiteConfig:
         raise BenchError("config lists no instances")
     if not cfg.solvers:
         raise BenchError("config lists no solvers")
+    if cfg.threads > MAX_THREADS:
+        raise BenchError(f"threads must be at most {MAX_THREADS}, got {cfg.threads}")
+    rows = len(cfg.instances) * len(cfg.solvers) * cfg.reps
+    if rows > MAX_ROWS:
+        raise BenchError(f"suite has {rows} rows (instances x solvers x reps), at most {MAX_ROWS} allowed")
     return cfg
 
 

@@ -286,6 +286,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "solve" and args.trace and args.algo != "irr":
+        parser.error("--trace needs --algo irr: only irr records a per-iteration trace")
     try:
         return args.func(args)
     except Exception as exc:

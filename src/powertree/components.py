@@ -42,15 +42,9 @@ class Component:
 
 
 def _labeled_trees(size: int, min_degree_from: int):
-    """Yield edge lists (index pairs) of labeled trees on `size` nodes where
-    every node index >= min_degree_from has degree >= 3 (Pruefer decoding)."""
-    if size == 1:
-        yield []
-        return
-    if size == 2:
-        if min_degree_from >= 2:
-            yield [(0, 1)]
-        return
+    """Yield edge lists (index pairs) of labeled trees on `size` >= 2 nodes
+    where every node index >= min_degree_from has degree >= 3 (Pruefer
+    decoding)."""
     for seq in product(range(size), repeat=size - 2):
         degree = [1] * size
         for s in seq:
@@ -143,8 +137,7 @@ class _PairRealizer:
                     ids = tuple(sorted((ea, eb) + best_edges))
                     found.setdefault(ids, edge_set_power(inst.scaled_edges(ids)))
 
-        out = sorted(found.items(), key=lambda kv: (kv[1], kv[0]))
-        result = [(ids, power) for ids, power in out]
+        result = sorted(found.items(), key=lambda kv: (kv[1], kv[0]))
         self._options[key] = result
         return result
 

@@ -8,11 +8,13 @@ may share edges; the star-replacement component graph must stay a tree.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import ceil
 
-from .graph import connects, rooted_children
+from .graph import chains, connects, rooted_children
 from .trees import CostedTree, TreeError, validate_full_component
 
 EdgeT = tuple[int, int, Fraction]
@@ -57,18 +59,19 @@ def _downward(edges, children) -> dict[int, EdgeT]:
     return {eid: (x, y, edges[eid][2]) for x, kids in children.items() for y, eid in kids}
 
 
-def _descent(children, cost, start: int, in_cost: Fraction):
-    """Min-power continuation of a root-to-leaf path entering `start`.
+def _descent(below, cost, start: int, in_cost: Fraction):
+    """Min-power continuation of a root-to-leaf path entering `start`, where
+    `below(x)` lists the (child, edge id) pairs of x.
 
     Returns (power paid from `start` downward, path edge ids); the caller
     adds the split node's own payment.
     """
-    kids = children[start]
+    kids = below(start)
     if not kids:
         return in_cost, ()
     best = None
     for w, eid in kids:
-        sub_val, sub_ids = _descent(children, cost, w, cost[eid])
+        sub_val, sub_ids = _descent(below, cost, w, cost[eid])
         val = max(in_cost, cost[eid]) + sub_val
         if best is None or val < best[0]:
             best = (val, (eid,) + sub_ids)
@@ -89,46 +92,47 @@ def bounded_degree_decompose(tree: CostedTree, delta: int) -> Decomposition:
     validate_full_component(tree)
     root = min(tree.leaves())
     delta_prime = ceil(delta / 2)
+    children = rooted_children(tree.edges, root)
+    down = _downward(tree.edges, children)
+    cost = [c for _, _, c in tree.edges]
+
+    # a split changes no other node's degree, so the over-degree nodes are
+    # known up front; each waits for those below it, then goes smallest id first
+    above: dict[int, int | None] = {}  # over-degree node -> nearest such ancestor
+    walk: list[tuple[int, int | None]] = [(root, None)]
+    while walk:
+        x, up = walk.pop()
+        if tree.degree(x) > delta:
+            above[x] = up
+            up = x
+        walk.extend((y, up) for y, _ in children[x])
+    waiting = Counter(above.values())
+    ready = [v for v in above if not waiting[v]]
+    heapify(ready)
+
+    # the root-side part as {edge id: edge}: insertion keeps the edge order
+    rest: dict[int, EdgeT] = dict(enumerate(tree.edges))
+
+    def below(x: int) -> list[tuple[int, int]]:
+        return [(y, eid) for y, eid in children[x] if eid in rest]
 
     parts: list[list[EdgeT]] = []
-    current: list[EdgeT] = list(tree.edges)
-
-    while True:
-        children = rooted_children(current, root)
-        degree = {node: len(kids) + (node != root) for node, kids in children.items()}
-        if max(degree.values()) <= delta:
-            break
-        # smallest-id split node: degree > delta, all strict descendants within cap
-        split = None
-        for v in sorted(children):
-            if degree[v] < delta + 1:
-                continue
-            ok = True
-            stack = [w for w, _ in children[v]]
-            while stack:
-                x = stack.pop()
-                if degree[x] > delta:
-                    ok = False
-                    break
-                stack.extend(w for w, _ in children[x])
-            if ok:
-                split = v
-                break
-        if split is None:
-            raise TreeError("internal error: no split node despite degree violation")
-
-        cost = [c for _, _, c in current]
-        down = _downward(current, children)
-        kids = sorted(children[split], key=lambda we: (cost[we[1]], we[0]))
+    while ready:
+        split = heappop(ready)
+        up = above[split]
+        if up is not None:
+            waiting[up] -= 1
+            if not waiting[up]:
+                heappush(ready, up)
+        kids = sorted(below(split), key=lambda we: (cost[we[1]], we[0]))
         blocks: list[list[tuple[int, int]]] = []
-        rest = kids
-        while len(rest) > delta - 2:
-            blocks.append(rest[:delta_prime])
-            rest = rest[delta_prime:]
-        # rest is the root-side block V_h and stays in the root component
+        while len(kids) > delta - 2:
+            blocks.append(kids[:delta_prime])
+            kids = kids[delta_prime:]
+        # the remaining kids are the root-side block V_h and stay in `rest`
 
-        # parts as {edge id: edge}: insertion keeps the edge order, keys dedupe
-        new_parts: list[dict[int, EdgeT]] = []
+        # each block with its descendants, and the block's reconnecting path
+        cuts: list[tuple[dict[int, EdgeT], tuple[int, ...]]] = []
         for block in blocks:
             part = {}
             for w, eid in block:
@@ -136,24 +140,23 @@ def bounded_degree_decompose(tree: CostedTree, delta: int) -> Decomposition:
                 stack = [w]
                 while stack:
                     x = stack.pop()
-                    for y, e in children[x]:
+                    for y, e in below(x):
                         part[e] = down[e]
                         stack.append(y)
-            new_parts.append(part)
-        removed = {eid for part in new_parts for eid in part}
-        root_part = {eid: e for eid, e in enumerate(current) if eid not in removed}
-
-        # the appended path reconnects consecutive parts in the component graph
-        for i, block in enumerate(blocks):
-            descents = [_descent(children, cost, w, cost[eid]) for w, eid in block]
+            descents = [_descent(below, cost, w, cost[eid]) for w, eid in block]
             j = min(range(len(block)), key=lambda k: descents[k][0])
-            target = new_parts[i + 1] if i + 1 < len(new_parts) else root_part
-            for eid in (block[j][1],) + descents[j][1]:
-                target.setdefault(eid, down[eid])
-        parts.extend(list(part.values()) for part in new_parts)
-        current = list(root_part.values())
+            cuts.append((part, (block[j][1],) + descents[j][1]))
+        for part, _ in cuts:
+            for eid in part:
+                del rest[eid]
+        # the appended path reconnects consecutive parts in the component graph
+        for i, (_, path) in enumerate(cuts):
+            target = cuts[i + 1][0] if i + 1 < len(cuts) else rest
+            for eid in path:
+                target[eid] = down[eid]
+        parts.extend(list(part.values()) for part, _ in cuts)
 
-    parts.append(current)
+    parts.append(list(rest.values()))
     part_trees = tuple(CostedTree.induced(p, tree.terminals) for p in parts)
     total = sum((p.power() for p in part_trees), Fraction(0))
     return Decomposition(part_trees, tree, total)
@@ -183,51 +186,23 @@ def level_cut_parts(tree: CostedTree, h: int, q: int) -> list[CostedTree]:
     root = min(nonterms)
     children = rooted_children(tree.edges, root)
 
-    # contract degree-2 internal nodes (other than the root); paths hold edge ids
+    # walk the contraction of single-child chains; each contracted edge
+    # belongs to the subtree rooted at the nearest marked ancestor (or the
+    # root) of its upper endpoint
     cchildren: dict[int, list[tuple[int, list[int]]]] = {}
-    clevel: dict[int, int] = {root: 0}
-    cparent: dict[int, int | None] = {root: None}
-
-    def contracted_children(x: int) -> list[tuple[int, list[int]]]:
-        out = []
-        for w, eid in children[x]:
-            path = [eid]
-            end = w
-            while end not in tree.terminals and len(children[end]) == 1:
-                end, eid = children[end][0]
-                path.append(eid)
-            out.append((end, path))
-        return out
-
+    clevel = {root: 0}
+    top = {root: root}
+    groups: dict[int, list[tuple[int, list[int]]]] = {}
     stack = [root]
     while stack:
         x = stack.pop()
-        kids = contracted_children(x)
-        cchildren[x] = kids
+        cchildren[x] = kids = chains(children, x)
+        if kids:
+            groups.setdefault(top[x], []).extend(kids)
         for end, _ in kids:
             clevel[end] = clevel[x] + 1
-            cparent[end] = x
+            top[end] = end if clevel[end] % h == q else top[x]
             stack.append(end)
-
-    marked = {x for x, lev in clevel.items() if lev % h == q}
-
-    # each contracted edge belongs to the subtree rooted at the nearest
-    # marked ancestor (or the root) of its upper endpoint
-    top_cache: dict[int, int] = {}
-
-    def top(x: int) -> int:
-        if x == root or x in marked:
-            return x
-        got = top_cache.get(x)
-        if got is None:
-            got = top(cparent[x])
-            top_cache[x] = got
-        return got
-
-    groups: dict[int, list[tuple[int, int, list[int]]]] = {}
-    for x in cchildren:
-        for end, path in cchildren[x]:
-            groups.setdefault(top(x), []).append((x, end, path))
 
     def descent_path(v: int) -> list[int]:
         # rightmost child, then leftmost descents to a leaf terminal
@@ -245,9 +220,9 @@ def level_cut_parts(tree: CostedTree, h: int, q: int) -> list[CostedTree]:
     parts: list[CostedTree] = []
     for w in sorted(groups):
         members = groups[w]
-        ids = [eid for _, _, path in members for eid in path]
-        for end in sorted({end for _, end, _ in members}):
-            if end in marked and cchildren.get(end):
+        ids = [eid for _, path in members for eid in path]
+        for end in sorted({end for end, _ in members}):
+            if top[end] == end and cchildren[end]:  # a marked cut node
                 ids.extend(descent_path(end))
         # dict.fromkeys drops repeated ids and keeps first-seen order
         parts.append(CostedTree.induced([down[eid] for eid in dict.fromkeys(ids)], tree.terminals))

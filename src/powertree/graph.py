@@ -1,5 +1,5 @@
 """Graph primitives shared by the solvers: union-find, connectivity, leaf
-stripping, incidence, tree checks and tree rooting.
+stripping, incidence, tree checks, tree rooting and chain contraction.
 
 Edges are tuples whose first two entries are the endpoints, such as an
 instance's (u, v, cost) triples, and an edge id is an index into the edge
@@ -133,3 +133,18 @@ def rooted_children(edges: Sequence[Sequence[int]], root: int) -> dict[int, list
         children[node] = kids
         stack.extend((child, eid) for child, eid in kids)
     return children
+
+
+def chains(children: dict[int, list[tuple[int, int]]], node: int) -> list[tuple[int, list[int]]]:
+    """Each child edge of `node` in the rooted tree `children` (as from
+    `rooted_children`) followed down through single-child nodes: the first
+    node reached with no child or several, and the edge ids on the way, in
+    child order."""
+    out = []
+    for end, eid in children[node]:
+        path = [eid]
+        while len(children[end]) == 1:
+            end, eid = children[end][0]
+            path.append(eid)
+        out.append((end, path))
+    return out

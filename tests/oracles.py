@@ -16,12 +16,16 @@ import heapq
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import ceil
 
+from powertree.analysis import AnalysisError, MarkedBinaryTree
 from powertree.components import Component, ComponentError, enumerate_columns
-from powertree.graph import UnionFind, strip_leaves
+from powertree.decomposition import Decomposition
+from powertree.graph import UnionFind, rooted_children, strip_leaves
 from powertree.instance import Instance
 from powertree.irr import IrrError, IterationRecord, RunTrace, prune, zero_power_tree_exists
 from powertree.lp import solve_lp
+from powertree.trees import CostedTree, TreeError, validate_full_component
 
 
 def edge_power_reference(instance: Instance, edge_ids) -> Fraction:
@@ -627,3 +631,315 @@ def witness_reference(sbin, marks: frozenset[int]):
             for k in keys:
                 witness_map[k].add(pair)
     return tuple(witness_edges), {k: frozenset(v) for k, v in witness_map.items()}
+
+
+# ---------------------------------------------------------------------------
+# decomposition and binarization as they were before one chain helper served
+# both and the bounded-degree split rooted each component once; kept verbatim
+# apart from the names, as the reference for the current code
+
+
+
+def build_binary_tree_reference(tree: CostedTree) -> MarkedBinaryTree:
+    """Split one edge (smallest index), root there, binarize with cost-0
+    dummy chains placing the most expensive child edges on the highest
+    consecutive levels, then shortcut single-child nodes.
+    """
+    validate_full_component(tree)
+    if len(tree.terminals) < 2:
+        raise AnalysisError("binarization needs at least 2 terminals")
+    next_id = max(tree.nodes) + 1
+    root = next_id
+    next_id += 1
+    u0, v0, c0 = tree.edges[0]
+    a0, b0 = (u0, v0) if u0 < v0 else (v0, u0)
+
+    parent: dict[int, int] = {root: -1, a0: root, b0: root}
+    children: dict[int, list[int]] = {root: [a0, b0]}
+    edge_origs: dict[int, tuple[int, ...]] = {a0: (0,), b0: (0,)}
+    edge_cost: dict[int, Fraction] = {a0: c0, b0: c0}
+    dummy: set[int] = set()
+
+    # rooted child lists on the original tree, split at edge 0
+    raw_children = rooted_children(tree.edges, a0)
+    raw_children[a0] = [(other, idx) for other, idx in raw_children[a0] if idx != 0]
+
+    def attach(p: int, child: int, origs: tuple[int, ...], cost: Fraction, is_dummy: bool) -> None:
+        parent[child] = p
+        children.setdefault(p, []).append(child)
+        edge_origs[child] = origs
+        edge_cost[child] = cost
+        if is_dummy:
+            dummy.add(child)
+
+    def binarize(node: int) -> None:
+        nonlocal next_id
+        kids = raw_children[node]
+        if len(kids) <= 2:
+            for other, idx in kids:
+                attach(node, other, (idx,), tree.edges[idx][2], False)
+                binarize(other)
+            return
+        # chain: most expensive child edge highest, ties to smallest index
+        ordered = sorted(kids, key=lambda ki: (-tree.edges[ki[1]][2], ki[1]))
+        holder = node
+        for pos, (other, idx) in enumerate(ordered):
+            if pos < len(ordered) - 2:
+                attach(holder, other, (idx,), tree.edges[idx][2], False)
+                w = next_id
+                next_id += 1
+                attach(holder, w, (), Fraction(0), True)
+                holder = w
+            else:
+                attach(holder, other, (idx,), tree.edges[idx][2], False)
+        for other, _ in kids:
+            binarize(other)
+
+    children.setdefault(a0, [])
+    children.setdefault(b0, [])
+    binarize(a0)
+    binarize(b0)
+
+    # shortcut single-child nodes (the root keeps both halves); a splice
+    # changes no other node's child count, so one pass finds them all, and
+    # none is a dummy, since every dummy holder gets two children
+    for node in list(children):
+        kids = children[node]
+        if node != root and len(kids) == 1:
+            child = kids[0]
+            p = parent.pop(node)
+            children[p] = [child if x == node else x for x in children[p]]
+            parent[child] = p
+            edge_origs[child] = edge_origs.pop(node) + edge_origs[child]
+            edge_cost[child] = max(edge_cost.pop(node), edge_cost[child])
+            del children[node]
+
+    levels = {root: 0}
+    queue = [root]
+    while queue:
+        node = queue.pop()
+        for ch in children.get(node, ()):  # children order preserved
+            levels[ch] = levels[node] + 1
+            queue.append(ch)
+
+    orig_to_bin: dict[int, int] = {}
+    for child, origs in edge_origs.items():
+        for o in origs:
+            if o == 0 and child == b0:
+                continue  # the split edge maps to its first half
+            orig_to_bin[o] = child
+    orig_to_bin.setdefault(0, a0)
+
+    bad = [n for n, ch in children.items() if len(ch) not in (0, 2)]
+    if bad:
+        raise AnalysisError(f"internal error: non-binary nodes {bad}")
+    return MarkedBinaryTree(
+        source=tree,
+        root=root,
+        parent={k: v for k, v in parent.items() if k != root},
+        children={k: tuple(v) for k, v in children.items()},
+        edge_origs=edge_origs,
+        edge_cost=edge_cost,
+        dummy_edges=frozenset(dummy),
+        levels=levels,
+        terminals=tree.terminals,
+        orig_to_bin=orig_to_bin,
+    )
+
+
+def _downward_reference(edges, children) -> dict[int, EdgeT]:
+    """Each edge of a rooted tree, by id, oriented from parent to child."""
+    return {eid: (x, y, edges[eid][2]) for x, kids in children.items() for y, eid in kids}
+
+
+def _descent_reference(children, cost, start: int, in_cost: Fraction):
+    """Min-power continuation of a root-to-leaf path entering `start`.
+
+    Returns (power paid from `start` downward, path edge ids); the caller
+    adds the split node's own payment.
+    """
+    kids = children[start]
+    if not kids:
+        return in_cost, ()
+    best = None
+    for w, eid in kids:
+        sub_val, sub_ids = _descent_reference(children, cost, w, cost[eid])
+        val = max(in_cost, cost[eid]) + sub_val
+        if best is None or val < best[0]:
+            best = (val, (eid,) + sub_ids)
+    return best
+
+
+def bounded_degree_decompose_reference(tree: CostedTree, delta: int) -> Decomposition:
+    """Split a full component into parts of maximum degree at most delta.
+
+    Per split: pick the smallest-id node of degree > delta whose descendants
+    all satisfy the cap, group its children (ascending edge cost) into blocks
+    of ceil(delta/2), cut each block with its descendants into a new part,
+    and reconnect by appending to each next part the leaf path minimizing
+    p(P_j) - c(vu_j) over the previous block.
+    """
+    if delta < 3:
+        raise TreeError(f"delta must be >= 3, got {delta}")
+    validate_full_component(tree)
+    root = min(tree.leaves())
+    delta_prime = ceil(delta / 2)
+
+    parts: list[list[EdgeT]] = []
+    current: list[EdgeT] = list(tree.edges)
+
+    while True:
+        children = rooted_children(current, root)
+        degree = {node: len(kids) + (node != root) for node, kids in children.items()}
+        if max(degree.values()) <= delta:
+            break
+        # smallest-id split node: degree > delta, all strict descendants within cap
+        split = None
+        for v in sorted(children):
+            if degree[v] < delta + 1:
+                continue
+            ok = True
+            stack = [w for w, _ in children[v]]
+            while stack:
+                x = stack.pop()
+                if degree[x] > delta:
+                    ok = False
+                    break
+                stack.extend(w for w, _ in children[x])
+            if ok:
+                split = v
+                break
+        if split is None:
+            raise TreeError("internal error: no split node despite degree violation")
+
+        cost = [c for _, _, c in current]
+        down = _downward_reference(current, children)
+        kids = sorted(children[split], key=lambda we: (cost[we[1]], we[0]))
+        blocks: list[list[tuple[int, int]]] = []
+        rest = kids
+        while len(rest) > delta - 2:
+            blocks.append(rest[:delta_prime])
+            rest = rest[delta_prime:]
+        # rest is the root-side block V_h and stays in the root component
+
+        # parts as {edge id: edge}: insertion keeps the edge order, keys dedupe
+        new_parts: list[dict[int, EdgeT]] = []
+        for block in blocks:
+            part = {}
+            for w, eid in block:
+                part[eid] = down[eid]
+                stack = [w]
+                while stack:
+                    x = stack.pop()
+                    for y, e in children[x]:
+                        part[e] = down[e]
+                        stack.append(y)
+            new_parts.append(part)
+        removed = {eid for part in new_parts for eid in part}
+        root_part = {eid: e for eid, e in enumerate(current) if eid not in removed}
+
+        # the appended path reconnects consecutive parts in the component graph
+        for i, block in enumerate(blocks):
+            descents = [_descent_reference(children, cost, w, cost[eid]) for w, eid in block]
+            j = min(range(len(block)), key=lambda k: descents[k][0])
+            target = new_parts[i + 1] if i + 1 < len(new_parts) else root_part
+            for eid in (block[j][1],) + descents[j][1]:
+                target.setdefault(eid, down[eid])
+        parts.extend(list(part.values()) for part in new_parts)
+        current = list(root_part.values())
+
+    parts.append(current)
+    part_trees = tuple(CostedTree.induced(p, tree.terminals) for p in parts)
+    total = sum((p.power() for p in part_trees), Fraction(0))
+    return Decomposition(part_trees, tree, total)
+
+
+def level_cut_parts_reference(tree: CostedTree, h: int, q: int) -> list[CostedTree]:
+    """Cut a full component at marked levels into parts, reconnecting each cut
+    node through its rightmost-then-leftmost descent path to a terminal.
+
+    Levels are those of the contraction that shortcuts internal degree-2
+    nodes (root excepted); left-to-right order is ascending node id. Exposed
+    separately so small worked examples can exercise the construction even
+    below the h^h size trigger.
+    """
+    if h < 3:
+        raise TreeError(f"h must be >= 3, got {h}")
+    if not 0 <= q < h:
+        raise TreeError(f"q must be in [0, {h - 1}], got {q}")
+    validate_full_component(tree)
+    nonterms = [v for v in tree.nodes if v not in tree.terminals]
+    if not nonterms:
+        raise TreeError("no non-terminal to root the level cut at")
+    root = min(nonterms)
+    children = rooted_children(tree.edges, root)
+
+    # contract degree-2 internal nodes (other than the root); paths hold edge ids
+    cchildren: dict[int, list[tuple[int, list[int]]]] = {}
+    clevel: dict[int, int] = {root: 0}
+    cparent: dict[int, int | None] = {root: None}
+
+    def contracted_children(x: int) -> list[tuple[int, list[int]]]:
+        out = []
+        for w, eid in children[x]:
+            path = [eid]
+            end = w
+            while end not in tree.terminals and len(children[end]) == 1:
+                end, eid = children[end][0]
+                path.append(eid)
+            out.append((end, path))
+        return out
+
+    stack = [root]
+    while stack:
+        x = stack.pop()
+        kids = contracted_children(x)
+        cchildren[x] = kids
+        for end, _ in kids:
+            clevel[end] = clevel[x] + 1
+            cparent[end] = x
+            stack.append(end)
+
+    marked = {x for x, lev in clevel.items() if lev % h == q}
+
+    # each contracted edge belongs to the subtree rooted at the nearest
+    # marked ancestor (or the root) of its upper endpoint
+    top_cache: dict[int, int] = {}
+
+    def top(x: int) -> int:
+        if x == root or x in marked:
+            return x
+        got = top_cache.get(x)
+        if got is None:
+            got = top(cparent[x])
+            top_cache[x] = got
+        return got
+
+    groups: dict[int, list[tuple[int, int, list[int]]]] = {}
+    for x in cchildren:
+        for end, path in cchildren[x]:
+            groups.setdefault(top(x), []).append((x, end, path))
+
+    def descent_path(v: int) -> list[int]:
+        # rightmost child, then leftmost descents to a leaf terminal
+        kids = cchildren[v]
+        end, path = max(kids, key=lambda kp: kp[0])
+        out = list(path)
+        node = end
+        while cchildren.get(node):
+            nend, npath = min(cchildren[node], key=lambda kp: kp[0])
+            out.extend(npath)
+            node = nend
+        return out
+
+    down = _downward_reference(tree.edges, children)
+    parts: list[CostedTree] = []
+    for w in sorted(groups):
+        members = groups[w]
+        ids = [eid for _, _, path in members for eid in path]
+        for end in sorted({end for _, end, _ in members}):
+            if end in marked and cchildren.get(end):
+                ids.extend(descent_path(end))
+        # dict.fromkeys drops repeated ids and keeps first-seen order
+        parts.append(CostedTree.induced([down[eid] for eid in dict.fromkeys(ids)], tree.terminals))
+    return parts

@@ -19,10 +19,20 @@ from powertree.analysis import (
     witness_stats,
 )
 from powertree.analysis import _derive, _draw_marks
-from powertree.decomposition import attach_dummy_leaves
+from powertree.decomposition import (
+    Decomposition,
+    attach_dummy_leaves,
+    bounded_degree_decompose,
+    level_cut_parts,
+)
 from powertree.trees import CostedTree, random_full_component
 
-from oracles import witness_reference
+from oracles import (
+    build_binary_tree_reference,
+    bounded_degree_decompose_reference,
+    level_cut_parts_reference,
+    witness_reference,
+)
 
 
 def steiner_series_reference(i: int, terms: int = 200) -> float:
@@ -171,6 +181,19 @@ def test_binary_tree_preserves_binary_component():
     assert set(sbin.levels) == set(tree.nodes) | {sbin.root}
 
 
+def test_binary_tree_deep_caterpillar():
+    # a path of 1500 internal nodes, each with a terminal: far deeper than
+    # Python's recursion limit
+    n = 1500
+    edges = [(v, v + 1, F(v % 7 + 1)) for v in range(n - 1)]
+    edges += [(v, n + v, F(2)) for v in range(n)] + [(0, 2 * n, F(3)), (n - 1, 2 * n + 1, F(3))]
+    tree = CostedTree(tuple(edges), frozenset(range(n, 2 * n + 2)))
+    sbin = build_binary_tree(tree)
+    assert len(sbin.internal_nodes()) == len(tree.terminals) - 1
+    assert max(sbin.levels.values()) == n
+    assert sorted(sbin.orig_to_bin) == list(range(len(edges)))
+
+
 def test_binary_tree_requires_full_component():
     with pytest.raises(Exception):
         build_binary_tree(CostedTree(((0, 1, F(1)), (1, 2, F(1))), frozenset({0, 1, 2})))
@@ -243,6 +266,61 @@ def test_derive_matches_all_pairs_reference():
             marks = _draw_marks(sbin, random.Random(draw))
             ws = _derive(sbin, marks)
             assert (ws.witness_edges, ws.witness_map) == witness_reference(sbin, marks)
+
+
+def outcome(fn, *args):
+    """fn's result, or its error's type and message."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def binary_fields(sbin):
+    if isinstance(sbin, tuple):
+        return sbin
+    return (sbin.root, sbin.parent, sbin.children, sbin.edge_origs, sbin.edge_cost, sbin.dummy_edges,
+            sbin.levels, sbin.terminals, sbin.orig_to_bin)
+
+
+def test_chain_contraction_matches_reference():
+    trees = []
+    for seed in range(40):
+        trees.append(random_full_component(81_000 + seed))
+        trees.append(random_full_component(82_000 + seed, terminal_count=28 + seed % 22, degree_cap=3 + seed % 3))
+        trees.append(attach_dummy_leaves(random_recursive_tree(83_000 + seed)))
+    multi_split = 0
+    for tree in trees:
+        assert binary_fields(outcome(build_binary_tree, tree)) == binary_fields(
+            outcome(build_binary_tree_reference, tree))
+        for delta in range(3, 7):
+            dec = outcome(bounded_degree_decompose, tree, delta)
+            assert dec == outcome(bounded_degree_decompose_reference, tree, delta)
+            multi_split += isinstance(dec, Decomposition) and len(dec.parts) > 2
+        for h in (3, 4):
+            for q in range(h):
+                assert outcome(level_cut_parts, tree, h, q) == outcome(level_cut_parts_reference, tree, h, q)
+    # several over-degree nodes per tree, so the split order is exercised
+    assert multi_split > 100
+
+
+def test_binary_tree_split_edge_maps_to_chain_end():
+    # edge 0 joins a0=0 (children 5, 6) to b0=1, a chain node above 2
+    edges = ((0, 1, F(3)), (1, 2, F(5)), (2, 3, F(1)), (2, 4, F(2)), (0, 5, F(4)), (0, 6, F(7)))
+    sbin = build_binary_tree(CostedTree(edges, frozenset({3, 4, 5, 6})))
+    assert sbin.children[sbin.root] == (0, 2)
+    assert sbin.edge_origs[2] == (0, 1) and sbin.edge_cost[2] == F(5)
+    assert sbin.orig_to_bin[0] == 2 and sbin.orig_to_bin[1] == 2
+    # with a0 a chain node too (0 -> 7 above 5, 6), edge 0 still maps to the b side
+    edges = edges[:4] + ((0, 7, F(4)), (7, 5, F(1)), (7, 6, F(1)))
+    sbin = build_binary_tree(CostedTree(edges, frozenset({3, 4, 5, 6})))
+    assert sbin.children[sbin.root] == (7, 2) and sbin.edge_origs[7] == (0, 4)
+    assert sbin.orig_to_bin[0] == 2
+    # with only a0 a chain node, edge 0 maps to the a side
+    edges = ((0, 1, F(3)), (0, 7, F(4)), (7, 5, F(1)), (7, 6, F(1)))
+    sbin = build_binary_tree(CostedTree(edges, frozenset({1, 5, 6})))
+    assert sbin.children[sbin.root] == (7, 1)
+    assert sbin.orig_to_bin[0] == 7
 
 
 def test_witness_stats_matches_marking_probability():

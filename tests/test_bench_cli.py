@@ -163,6 +163,20 @@ def test_config_errors():
             parse_config(line + "\n" + body)
 
 
+def test_config_bounds_threads_and_rows():
+    body = "instance gen:uniform-random nodes=4 terminals=4 seed=1\nsolver exact\nsolver mst\n"
+    for head, message in [
+        ("threads = 1000000\n", "threads must be at most 64, got 1000000"),
+        ("reps = 1000000000000\n", "suite has 2000000000000 rows"),
+        ("reps = 5001\n", "suite has 10002 rows"),
+    ]:
+        start = time.perf_counter()
+        with pytest.raises(BenchError, match=message):
+            parse_config(head + body)
+        assert time.perf_counter() - start < 1.0
+    assert parse_config("threads = 64\nreps = 5000\n" + body).reps == 5000
+
+
 def test_derive_seed_stable():
     assert derive_seed(42, 0) == derive_seed(42, 0)
     assert derive_seed(42, 0) != derive_seed(42, 1)
@@ -198,6 +212,16 @@ def test_cli_k_out_of_range_exits_2(argv, capsys):
         main(argv)
     assert info.value.code == 2
     assert "--k: invalid choice" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("algo", ["exact", "mst", "steiner-cost"])
+def test_cli_trace_without_irr_exits_2(algo, tmp_path, capsys):
+    out = tmp_path / "run.jsonl"
+    with pytest.raises(SystemExit) as info:
+        main(["solve", "x.mpst", "--algo", algo, "--trace", str(out)])
+    assert info.value.code == 2
+    assert "--trace needs --algo irr" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_error_record(tmp_path, capsys):

@@ -5,7 +5,7 @@ import pytest
 
 from oracles import extract_tree_reference, strip_leaves_reference
 from powertree.generators import GENERATOR_KINDS, generate
-from powertree.graph import UnionFind, connects, rooted_children, strip_leaves, tree_fault
+from powertree.graph import UnionFind, chains, connects, rooted_children, strip_leaves, tree_fault
 from powertree.pruning import extract_tree
 from powertree.trees import CostedTree, TreeError, prune_nonterminal_leaves
 
@@ -46,6 +46,19 @@ def test_rooted_children_order_and_edge_ids():
 def test_rooted_children_leaf_root():
     edges = [(4, 9, 1), (2, 4, 1), (4, 1, 1), (6, 1, 1)]
     assert rooted_children(edges, 6) == {6: [(1, 3)], 1: [(4, 2)], 4: [(2, 1), (9, 0)], 2: [], 9: []}
+
+
+def test_chains_follow_single_child_nodes():
+    # root 0 with children 1 (chain 1-2-3 to the branch node 3) and 5 (a leaf);
+    # 3 has children 4 and 6, and 6 continues through 7 to the leaf 8
+    edges = [(0, 1, 1), (2, 1, 1), (2, 3, 1), (3, 4, 1), (0, 5, 1), (3, 6, 1), (7, 6, 1), (7, 8, 1)]
+    children = rooted_children(edges, 0)
+    assert chains(children, 0) == [(3, [0, 1, 2]), (5, [4])]
+    assert chains(children, 3) == [(4, [3]), (8, [5, 6, 7])]
+    assert chains(children, 2) == [(3, [2])]
+    assert chains(children, 8) == []
+    # a path rooted at one end is one chain to the other end
+    assert chains(rooted_children([(0, 1), (1, 2), (2, 3)], 0), 0) == [(3, [0, 1, 2])]
 
 
 def test_tree_fault_first_fault_in_edge_order():
