@@ -59,25 +59,6 @@ def _downward(edges, children) -> dict[int, EdgeT]:
     return {eid: (x, y, edges[eid][2]) for x, kids in children.items() for y, eid in kids}
 
 
-def _descent(below, cost, start: int, in_cost: Fraction):
-    """Min-power continuation of a root-to-leaf path entering `start`, where
-    `below(x)` lists the (child, edge id) pairs of x.
-
-    Returns (power paid from `start` downward, path edge ids); the caller
-    adds the split node's own payment.
-    """
-    kids = below(start)
-    if not kids:
-        return in_cost, ()
-    best = None
-    for w, eid in kids:
-        sub_val, sub_ids = _descent(below, cost, w, cost[eid])
-        val = max(in_cost, cost[eid]) + sub_val
-        if best is None or val < best[0]:
-            best = (val, (eid,) + sub_ids)
-    return best
-
-
 def bounded_degree_decompose(tree: CostedTree, delta: int) -> Decomposition:
     """Split a full component into parts of maximum degree at most delta.
 
@@ -90,6 +71,8 @@ def bounded_degree_decompose(tree: CostedTree, delta: int) -> Decomposition:
     if delta < 3:
         raise TreeError(f"delta must be >= 3, got {delta}")
     validate_full_component(tree)
+    if not tree.edges:
+        raise TreeError("empty tree has no leaf to root the split at")
     root = min(tree.leaves())
     delta_prime = ceil(delta / 2)
     children = rooted_children(tree.edges, root)
@@ -132,20 +115,32 @@ def bounded_degree_decompose(tree: CostedTree, delta: int) -> Decomposition:
         # the remaining kids are the root-side block V_h and stay in `rest`
 
         # each block with its descendants, and the block's reconnecting path
-        cuts: list[tuple[dict[int, EdgeT], tuple[int, ...]]] = []
+        cuts: list[tuple[dict[int, EdgeT], list[int]]] = []
         for block in blocks:
             part = {}
+            visits = []  # (node, entering edge, its (child, edge) pairs), parents first
             for w, eid in block:
                 part[eid] = down[eid]
-                stack = [w]
+                stack = [(w, eid)]
                 while stack:
-                    x = stack.pop()
-                    for y, e in below(x):
-                        part[e] = down[e]
-                        stack.append(y)
-            descents = [_descent(below, cost, w, cost[eid]) for w, eid in block]
-            j = min(range(len(block)), key=lambda k: descents[k][0])
-            cuts.append((part, (block[j][1],) + descents[j][1]))
+                    x, e = stack.pop()
+                    under = below(x)
+                    visits.append((x, e, under))
+                    for y, f in under:
+                        part[f] = down[f]
+                        stack.append((y, f))
+            # children first: x's min-power continuation to a leaf, entering by
+            # e, as (power, next node, next edge); ties keep the first kid
+            best = {}
+            for x, e, under in reversed(visits):
+                best[x] = min(((max(cost[e], cost[f]) + best[y][0], y, f) for y, f in under),
+                              key=lambda t: t[0], default=(cost[e], None, None))
+            x, eid = min(block, key=lambda we: best[we[0]][0])
+            path = [eid]
+            while best[x][1] is not None:
+                _, x, eid = best[x]
+                path.append(eid)
+            cuts.append((part, path))
         for part, _ in cuts:
             for eid in part:
                 del rest[eid]

@@ -124,10 +124,7 @@ def irr_solve(
             pick = None
             acc = 0.0
             for j in sorted(state.x):
-                xv = state.x[j]
-                if xv <= 0.0:
-                    continue
-                acc += xv
+                acc += state.x[j]
                 pick = j
                 if target < acc:
                     break

@@ -251,16 +251,17 @@ def solve_lp(
         raise LpError(f"tol must be in (0, 1e-4], got {tol}")
     terms = sorted(instance.terminals)
     others = [t for t in terms if t != instance.root]
-    for t in others:
-        if not any(t in col.terminal_set and col.sink != t for col in columns):
-            raise LpError(f"infeasible: terminal {t} has no covering column")
     rows: list[frozenset[int]] = [frozenset({t}) for t in others]
     known = set(rows)
     if not rows:
         return LpState(list(columns), [], {}, 0.0)
+    supports = [row_support(columns, w) for w in rows]
+    for t, support in zip(others, supports):
+        if not support:
+            raise LpError(f"infeasible: terminal {t} has no covering column")
     lp = _DualSimplex([float(col.power) for col in columns])
-    for w in rows:
-        lp.add_row(row_support(columns, w))
+    for support in supports:
+        lp.add_row(support)
     history: list[float] = []
     for _ in range(MAX_ROUNDS):
         x, value = lp.solve()

@@ -1,4 +1,6 @@
+import json
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -11,7 +13,10 @@ from powertree.decomposition import (
     h_power_decompose,
     level_cut_parts,
 )
+from powertree.cli import main
 from powertree.trees import CostedTree, TreeError, random_full_component
+
+from oracles import bounded_degree_decompose_reference
 
 
 def degree_bound_factor(delta: int) -> F:
@@ -135,6 +140,69 @@ def test_requires_full_component():
         bounded_degree_decompose(
             CostedTree(((0, 1, F(1)), (1, 2, F(1))), frozenset({0, 1, 2})), 3
         )
+
+
+def test_empty_tree_is_tree_error():
+    with pytest.raises(TreeError, match="empty tree"):
+        bounded_degree_decompose(CostedTree((), frozenset()), 3)
+
+
+DEPTH = 1500
+
+
+def deep_caterpillar() -> CostedTree:
+    """3,011 edges: leaf 0, hub 1 of degree 5 whose children are a caterpillar
+    1,500 internal nodes deep and three cherries.
+
+    The spine costs 0 and its legs cost 10 or more, except the two at the
+    bottom, so the hub's cheapest descent runs down the whole spine.
+    """
+    spine = range(2, 2 + DEPTH)
+    last = spine[-1]
+    edges = [(0, 1, F(3)), (1, 2, F(3))]
+    edges += [(v, v + 1, F(0)) for v in spine[:-1]]
+    edges += [(v, v + DEPTH, F(10 + v % 7) if v < last else F(1)) for v in spine]
+    edges.append((last, last + DEPTH + 1, F(2)))
+    first_cherry = last + DEPTH + 2
+    for i, center in enumerate(range(first_cherry, first_cherry + 3)):
+        leaf = first_cherry + 3 + 2 * i
+        edges += [(1, center, F(4 + i)), (center, leaf, F(5)), (center, leaf + 1, F(6))]
+    tree = CostedTree(tuple(edges), frozenset())
+    return CostedTree(tree.edges, frozenset(tree.leaves()))
+
+
+def test_deep_caterpillar_decomposes():
+    tree = deep_caterpillar()
+    assert len(tree.edges) == 3011 and tree.degree(1) == 5
+    dec = bounded_degree_decompose(tree, 3)
+    assert component_graph(dec).is_tree
+    assert all(part.degree(v) <= 3 for part in dec.parts for v in part.nodes)
+    # the first block's reconnecting path runs the whole spine into the second part
+    assert len(dec.parts) == 3 and len(dec.parts[1].edges) > DEPTH
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(4 * DEPTH)
+    try:
+        assert dec == bounded_degree_decompose_reference(tree, 3)
+    finally:
+        sys.setrecursionlimit(limit)
+    hdec = h_power_decompose(tree, 3)
+    assert hdec.total_power <= (1 + F(14, 3)) * tree.power()
+    assert all(len(part.terminals) <= 27 for part in hdec.parts)
+
+
+def test_cli_decompose_deep_caterpillar(tmp_path, capsys):
+    tree = deep_caterpillar()
+    ipath = tmp_path / "deep.mpst"
+    ipath.write_text(
+        f"nodes {len(tree.nodes)}\n"
+        + "".join(f"edge {u} {v} {c}\n" for u, v, c in tree.edges)
+        + f"terminals {' '.join(map(str, sorted(tree.terminals)))}\nroot 0\n"
+    )
+    tpath = tmp_path / "t.txt"
+    tpath.write_text(" ".join(map(str, range(len(tree.edges)))))
+    assert main(["decompose", str(ipath), "--tree", str(tpath), "--mode", "degree", "--delta", "3"]) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert record["bound_holds"] and record["component_graph_is_tree"]
 
 
 # ---------------------------------------------------------------------------

@@ -52,3 +52,62 @@ def test_tracer_names_resolve():
     assert missing == []
     from powertree.instance import Instance
     assert callable(getattr(Instance, "with_costs", None))
+
+
+# Functions allowed to call themselves, each with its depth bound.
+RECURSIVE_ALLOWED = {
+    # one level per topology edge: at most 5 (|Q| = 4, at most 6 nodes)
+    "_assemble.place",
+    # one level per decided edge: at most the edge count of an instance
+    # within `node_guard` nodes
+    "exact_min_power.recurse",
+    # each call splits its terminal mask: one level per terminal, at most 12
+    "_dreyfus_wagner.reconstruct",
+    # one nested call: `reduction-wrapped` generates its uniform-random base
+    "generate",
+}
+
+
+def callee(node) -> str | None:
+    """The name a call node invokes as f(...), self.f(...) or cls.f(...)."""
+    if not isinstance(node, ast.Call):
+        return None
+    func = node.func
+    if isinstance(func, ast.Name):
+        return func.id
+    if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name) and func.value.id in ("self", "cls"):
+        return func.attr
+    return None
+
+
+def self_calling_functions(source: str) -> list[str]:
+    """Dotted names of the functions whose bodies call themselves by name."""
+    found = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, prefix)
+                continue
+            name = prefix + [child.name]
+            if not isinstance(child, ast.ClassDef) and any(callee(n) == child.name for n in ast.walk(child)):
+                found.append(".".join(name))
+            visit(child, name)
+
+    visit(ast.parse(source), [])
+    return found
+
+
+def test_self_calls_detected():
+    source = (
+        "def f(n):\n    return f(n - 1)\n"
+        "def g():\n    def h():\n        h()\n    return h\n"
+        "class C:\n    def m(self):\n        self.m()\n    def k(self):\n        other.k()\n"
+    )
+    assert self_calling_functions(source) == ["f", "g.h", "C.m"]
+
+
+def test_recursion_only_where_depth_is_bounded():
+    # deep inputs must not reach Python's recursion limit
+    found = {name for path in sorted(SRC.glob("*.py")) for name in self_calling_functions(path.read_text())}
+    assert found - RECURSIVE_ALLOWED == set()

@@ -40,7 +40,9 @@ total cost and node powers. Records:
              attach_dummy_leaves, bounded_degree_decompose (delta 3-6),
              h_power_decompose and level_cut_parts (h = 3, 4), component_graph,
              build_binary_tree, sample_witness, witness_stats (5 trials) and
-             classify_edges, raising calls included
+             classify_edges, raising calls included; the same on a
+             caterpillar 1,500 internal nodes deep below a degree-5 hub, and
+             on the empty tree
 """
 
 from __future__ import annotations
@@ -96,6 +98,22 @@ def analysis_records() -> None:
             emit("analysis", key, [[costed_record(p) for p in dec.parts], str(dec.total_power), dec.q,
                                    [graph.center_count, list(graph.terminals), list(graph.edges), graph.is_tree]])
 
+    def deep_caterpillar():
+        # leaf 0, hub 1 of degree 5 with three cherries and a caterpillar
+        # 1,500 internal nodes deep whose cost-0 spine is the cheapest descent
+        depth, spine = 1500, range(2, 1502)
+        last = spine[-1]
+        edges = [(0, 1, Fraction(3)), (1, 2, Fraction(3))]
+        edges += [(v, v + 1, Fraction(0)) for v in spine[:-1]]
+        edges += [(v, v + depth, Fraction(10 + v % 7) if v < last else Fraction(1)) for v in spine]
+        edges.append((last, last + depth + 1, Fraction(2)))
+        first = last + depth + 2
+        for i, center in enumerate(range(first, first + 3)):
+            leaf = first + 3 + 2 * i
+            edges += [(1, center, Fraction(4 + i)), (center, leaf, Fraction(5)), (center, leaf + 1, Fraction(6))]
+        tree = CostedTree(tuple(edges), frozenset())
+        return CostedTree(tree.edges, frozenset(tree.leaves()))
+
     def random_tree(seed):
         # random recursive tree whose leaves and some inner nodes are terminals
         rng = random.Random(seed)
@@ -107,6 +125,47 @@ def analysis_records() -> None:
             deg[v] += 1
         terms = {v for v in range(n) if deg[v] <= 1 or rng.random() < 0.3}
         return CostedTree(edges, frozenset(terms))
+
+    def component(key, tree, seed):
+        emit("analysis", key + ["tree"], costed_record(tree))
+        cls = record(key + ["classify"], classify_edges, tree)
+        if cls is not None:
+            emit("analysis", key + ["classify"], [list(cls.heavy), list(cls.middle), list(cls.light),
+                                                  str(cls.gamma_h), str(cls.gamma_m), str(cls.alpha)])
+        for delta in range(3, 7):
+            decomposition(key + ["degree", delta], record(key + ["degree", delta],
+                                                          bounded_degree_decompose, tree, delta))
+        for h in (3, 4):
+            decomposition(key + ["hpower", h], record(key + ["hpower", h], h_power_decompose, tree, h))
+            for q in range(h):
+                parts = record(key + ["level", h, q], level_cut_parts, tree, h, q)
+                if parts is not None:
+                    emit("analysis", key + ["level", h, q], [costed_record(p) for p in parts])
+        if seed < 5 and tree.nodes:  # invalid parameters
+            for bad, fn, args in (("delta", bounded_degree_decompose, (tree, 2)),
+                                  ("h", h_power_decompose, (tree, 2)),
+                                  ("q", h_power_decompose, (tree, 3, "x")),
+                                  ("level-q", level_cut_parts, (tree, 3, 3)),
+                                  ("trials", witness_stats, (tree, tree.nodes[0], 1, 0, seed))):
+                record(key + ["bad", bad], fn, *args)
+        sbin = record(key + ["binary"], build_binary_tree, tree)
+        if sbin is None:
+            return
+        emit("analysis", key + ["binary"], [
+            sbin.root, items(sbin.parent), items(sbin.children), items(sbin.edge_origs),
+            [[k, str(c)] for k, c in sorted(sbin.edge_cost.items())], sorted(sbin.dummy_edges),
+            items(sbin.levels), sorted(sbin.terminals), items(sbin.orig_to_bin),
+        ])
+        for ws_seed in (seed, seed + 1):
+            ws = sample_witness(sbin, ws_seed)
+            emit("analysis", key + ["witness", ws_seed],
+                 [sorted(ws.marks), [list(e) for e in ws.witness_edges], items(ws.witness_map)])
+        inner = [v for v in tree.nodes if v not in tree.terminals][:2] + [min(tree.terminals)]
+        for v in inner:
+            for i in (1, 2):
+                rep = record(key + ["stats", v, i], witness_stats, tree, v, i, 5, seed)
+                if rep is not None:
+                    emit("analysis", key + ["stats", v, i], sorted(asdict(rep).items()))
 
     for seed in range(150):
         families = [
@@ -122,46 +181,9 @@ def analysis_records() -> None:
                 emit("analysis", [name, seed], "ok")
         families.append(("dummy", attach_dummy_leaves(raw)))
         for fam, tree in families:
-            key = [fam, seed]
-            emit("analysis", key + ["tree"], costed_record(tree))
-            cls = record(key + ["classify"], classify_edges, tree)
-            if cls is not None:
-                emit("analysis", key + ["classify"], [list(cls.heavy), list(cls.middle), list(cls.light),
-                                                      str(cls.gamma_h), str(cls.gamma_m), str(cls.alpha)])
-            for delta in range(3, 7):
-                decomposition(key + ["degree", delta], record(key + ["degree", delta],
-                                                              bounded_degree_decompose, tree, delta))
-            for h in (3, 4):
-                decomposition(key + ["hpower", h], record(key + ["hpower", h], h_power_decompose, tree, h))
-                for q in range(h):
-                    parts = record(key + ["level", h, q], level_cut_parts, tree, h, q)
-                    if parts is not None:
-                        emit("analysis", key + ["level", h, q], [costed_record(p) for p in parts])
-            if seed < 5:  # invalid parameters
-                for bad, fn, args in (("delta", bounded_degree_decompose, (tree, 2)),
-                                      ("h", h_power_decompose, (tree, 2)),
-                                      ("q", h_power_decompose, (tree, 3, "x")),
-                                      ("level-q", level_cut_parts, (tree, 3, 3)),
-                                      ("trials", witness_stats, (tree, tree.nodes[0], 1, 0, seed))):
-                    record(key + ["bad", bad], fn, *args)
-            sbin = record(key + ["binary"], build_binary_tree, tree)
-            if sbin is None:
-                continue
-            emit("analysis", key + ["binary"], [
-                sbin.root, items(sbin.parent), items(sbin.children), items(sbin.edge_origs),
-                [[k, str(c)] for k, c in sorted(sbin.edge_cost.items())], sorted(sbin.dummy_edges),
-                items(sbin.levels), sorted(sbin.terminals), items(sbin.orig_to_bin),
-            ])
-            for ws_seed in (seed, seed + 1):
-                ws = sample_witness(sbin, ws_seed)
-                emit("analysis", key + ["witness", ws_seed],
-                     [sorted(ws.marks), [list(e) for e in ws.witness_edges], items(ws.witness_map)])
-            inner = [v for v in tree.nodes if v not in tree.terminals][:2] + [min(tree.terminals)]
-            for v in inner:
-                for i in (1, 2):
-                    rep = record(key + ["stats", v, i], witness_stats, tree, v, i, 5, seed)
-                    if rep is not None:
-                        emit("analysis", key + ["stats", v, i], sorted(asdict(rep).items()))
+            component([fam, seed], tree, seed)
+    component(["deep", 0], deep_caterpillar(), 0)
+    component(["empty", 0], CostedTree((), frozenset()), 0)
 
 
 def rational_records() -> None:
