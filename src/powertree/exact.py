@@ -11,8 +11,7 @@ compare the instance's scaled int weights; `evaluate` builds the result.
 from __future__ import annotations
 
 import heapq
-from itertools import combinations, compress
-from operator import not_
+from itertools import combinations
 
 from .graph import UnionFind, connects, strip_leaves
 from .instance import Instance, PowerTree, evaluate
@@ -26,83 +25,90 @@ def exact_min_power(instance: Instance, mode: str = "steiner", node_guard: int =
     """Global minimum-power tree by exhaustive branch-and-bound.
 
     mode="spanning" requires every node; mode="steiner" requires the terminal
-    set. Ties are resolved deterministically (lexicographically smallest
-    sorted edge-id list among the enumerated optima). The node guard bounds
-    the default instance size; callers may raise it for structured instances
-    at their own risk.
+    set. Ties are resolved deterministically: the result is the first optimum
+    the search reaches, where each branch first includes, then excludes, the
+    cheapest crossing edge by (weight, id). Every leaf of the result is a
+    required node. The node guard bounds the default instance size; callers
+    may raise it for structured instances at their own risk.
     """
     if mode not in ("steiner", "spanning"):
         raise SolverError(f"unknown mode {mode!r}")
     if instance.node_count > node_guard:
         raise SolverError(f"node count {instance.node_count} exceeds guard {node_guard}")
     required = frozenset(range(instance.node_count)) if mode == "spanning" else instance.terminals
+    # Invariant of every branch: the unbanned edges join the root (a terminal)
+    # and every required node. So each required node outside the tree has an
+    # unbanned edge, and some unbanned edge crosses out of the tree.
     if not connects(instance.node_count, instance.edges, required):
         raise SolverError("required nodes are disconnected")
 
-    edges, weights = instance.edges, instance.weights
+    edges, weights, adjacency = instance.edges, instance.weights, instance.adjacency
     m = len(edges)
     root = instance.root
 
     # the first descent always takes the cheapest crossing edge (Prim's tree),
     # so the search finds its own upper bound before it has to prune
     best_power: int | None = None
-    best_edges: tuple[int, ...] | None = None
+    best_edges: tuple[int, ...] = ()
 
     in_tree = [False] * instance.node_count
     in_tree[root] = True
     node_max: dict[int, int] = {root: 0}
     banned = [False] * m
 
-    def lower_bound(power: int) -> int | None:
+    def lower_bound(power: int) -> int:
         extra = 0
         for t in required:
             if in_tree[t]:
                 continue
             cheapest = None
-            for eid in instance.adjacency[t]:
+            for eid in adjacency[t]:
                 if banned[eid]:
                     continue
                 c = weights[eid]
                 if cheapest is None or c < cheapest:
                     cheapest = c
-            if cheapest is None:
-                return None  # t has no usable edge at all
             extra += cheapest
         return power + extra
 
-    def feasible() -> bool:
-        return connects(instance.node_count, compress(edges, map(not_, banned)), required)
+    def still_joined(outer: int) -> bool:
+        """The invariant after banning an edge from the tree to `outer`: either
+        `outer` still reaches the tree, or its cut-off side holds no required
+        node."""
+        seen = {outer}
+        stack = [outer]
+        while stack:
+            x = stack.pop()
+            for eid in adjacency[x]:
+                if banned[eid]:
+                    continue
+                u, v, _ = edges[eid]
+                y = v if u == x else u
+                if in_tree[y]:
+                    return True
+                if y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+        return required.isdisjoint(seen)
 
     order = sorted(range(m), key=lambda e: (weights[e], e))
     selected: list[int] = []
 
-    def record(power: int) -> None:
-        nonlocal best_power, best_edges
-        cand = tuple(sorted(selected))
-        if best_power is None or power < best_power or (
-            power == best_power and (best_edges is None or cand < best_edges)
-        ):
-            best_power = power
-            best_edges = cand
-
     def recurse(power: int, covered: int) -> None:
+        nonlocal best_power, best_edges
         if covered == len(required):
-            record(power)
+            if best_power is None or power < best_power:
+                best_power = power
+                best_edges = tuple(selected)
             return
-        lb = lower_bound(power)
-        if lb is None or (best_power is not None and lb > best_power):
+        if best_power is not None and lower_bound(power) >= best_power:
             return
-        pick = None
-        for eid in order:
-            if banned[eid]:
+        for pick in order:
+            if banned[pick]:
                 continue
-            u, v, _ = edges[eid]
+            u, v, _ = edges[pick]
             if in_tree[u] != in_tree[v]:
-                pick = eid
                 break
-        if pick is None:
-            return
-        u, v, _ = edges[pick]
         c = weights[pick]
         inner, outer = (u, v) if in_tree[u] else (v, u)
 
@@ -121,14 +127,13 @@ def exact_min_power(instance: Instance, mode: str = "steiner", node_guard: int =
 
         # exclude branch
         banned[pick] = True
-        if feasible():
+        if still_joined(outer):
             recurse(power, covered)
         banned[pick] = False
 
-    recurse(0, 1 if root in required else 0)
-    if best_edges is None:
-        raise SolverError("no feasible tree found")
-    return evaluate(instance, best_edges)
+    recurse(0, 1)
+    # zero-cost edges to non-required leaves tie with the tree without them
+    return evaluate(instance, strip_leaves(edges, best_edges, required))
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,8 @@ the same subset sweep, and tiny LPs by rational vertex enumeration. The
 must give the same results, ties included. Every oracle computes on the
 instance's Fraction costs, never on the scaled int weights the package's
 solvers use, except `irr_solve_reference`, which keeps an earlier IRR loop
-around the package's own layers.
+around the package's own layers, and `exact_min_power_reference`, which
+keeps the earlier branch-and-bound verbatim.
 """
 
 from __future__ import annotations
@@ -15,14 +16,16 @@ from __future__ import annotations
 import heapq
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, compress
 from math import ceil
+from operator import not_
 
 from powertree.analysis import AnalysisError, MarkedBinaryTree
 from powertree.components import Component, ComponentError, enumerate_columns
 from powertree.decomposition import Decomposition
-from powertree.graph import UnionFind, rooted_children, strip_leaves
-from powertree.instance import Instance
+from powertree.exact import SolverError
+from powertree.graph import UnionFind, connects, rooted_children, strip_leaves
+from powertree.instance import Instance, PowerTree, evaluate
 from powertree.irr import IrrError, IterationRecord, RunTrace, prune, zero_power_tree_exists
 from powertree.lp import solve_lp
 from powertree.trees import CostedTree, TreeError, validate_full_component
@@ -414,6 +417,117 @@ def dreyfus_wagner_reference(instance: Instance) -> list[int]:
     forest = [eid for eid in sorted(edges, key=lambda e: (instance.cost(e), e))
               if uf.union(instance.edges[eid][0], instance.edges[eid][1])]
     return strip_leaves(instance.edges, forest, instance.terminals)
+
+
+def exact_min_power_reference(instance: Instance, mode: str = "steiner", node_guard: int = 12) -> PowerTree:
+    """Global minimum-power tree by exhaustive branch-and-bound, as the package
+    solved it before it pruned tied optima; kept verbatim, scaled int weights
+    included.
+
+    mode="spanning" requires every node; mode="steiner" requires the terminal
+    set. Ties are resolved deterministically (lexicographically smallest
+    sorted edge-id list among the enumerated optima). The node guard bounds
+    the default instance size; callers may raise it for structured instances
+    at their own risk.
+    """
+    if mode not in ("steiner", "spanning"):
+        raise SolverError(f"unknown mode {mode!r}")
+    if instance.node_count > node_guard:
+        raise SolverError(f"node count {instance.node_count} exceeds guard {node_guard}")
+    required = frozenset(range(instance.node_count)) if mode == "spanning" else instance.terminals
+    if not connects(instance.node_count, instance.edges, required):
+        raise SolverError("required nodes are disconnected")
+
+    edges, weights = instance.edges, instance.weights
+    m = len(edges)
+    root = instance.root
+
+    # the first descent always takes the cheapest crossing edge (Prim's tree),
+    # so the search finds its own upper bound before it has to prune
+    best_power: int | None = None
+    best_edges: tuple[int, ...] | None = None
+
+    in_tree = [False] * instance.node_count
+    in_tree[root] = True
+    node_max: dict[int, int] = {root: 0}
+    banned = [False] * m
+
+    def lower_bound(power: int) -> int | None:
+        extra = 0
+        for t in required:
+            if in_tree[t]:
+                continue
+            cheapest = None
+            for eid in instance.adjacency[t]:
+                if banned[eid]:
+                    continue
+                c = weights[eid]
+                if cheapest is None or c < cheapest:
+                    cheapest = c
+            if cheapest is None:
+                return None  # t has no usable edge at all
+            extra += cheapest
+        return power + extra
+
+    def feasible() -> bool:
+        return connects(instance.node_count, compress(edges, map(not_, banned)), required)
+
+    order = sorted(range(m), key=lambda e: (weights[e], e))
+    selected: list[int] = []
+
+    def record(power: int) -> None:
+        nonlocal best_power, best_edges
+        cand = tuple(sorted(selected))
+        if best_power is None or power < best_power or (
+            power == best_power and (best_edges is None or cand < best_edges)
+        ):
+            best_power = power
+            best_edges = cand
+
+    def recurse(power: int, covered: int) -> None:
+        if covered == len(required):
+            record(power)
+            return
+        lb = lower_bound(power)
+        if lb is None or (best_power is not None and lb > best_power):
+            return
+        pick = None
+        for eid in order:
+            if banned[eid]:
+                continue
+            u, v, _ = edges[eid]
+            if in_tree[u] != in_tree[v]:
+                pick = eid
+                break
+        if pick is None:
+            return
+        u, v, _ = edges[pick]
+        c = weights[pick]
+        inner, outer = (u, v) if in_tree[u] else (v, u)
+
+        # include branch
+        selected.append(pick)
+        in_tree[outer] = True
+        old_inner = node_max[inner]
+        node_max[inner] = max(old_inner, c)
+        node_max[outer] = c
+        delta = (node_max[inner] - old_inner) + c
+        recurse(power + delta, covered + (1 if outer in required else 0))
+        del node_max[outer]
+        node_max[inner] = old_inner
+        in_tree[outer] = False
+        selected.pop()
+
+        # exclude branch
+        banned[pick] = True
+        if feasible():
+            recurse(power, covered)
+        banned[pick] = False
+
+    recurse(0, 1 if root in required else 0)
+    if best_edges is None:
+        raise SolverError("no feasible tree found")
+    return evaluate(instance, best_edges)
 
 
 def capped_state_search_reference(

@@ -1,12 +1,36 @@
 import random
+import re
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
 from powertree.exact import SolverError, _dreyfus_wagner, baseline_min_cost, exact_min_power
 from powertree.generators import GENERATOR_KINDS, generate
-from powertree.instance import parse_instance, reduce_cost_to_power
-from oracles import dreyfus_wagner_reference, min_cost_tree_bruteforce, min_power_tree_bruteforce
+from powertree.graph import connects, incidence
+from powertree.instance import parse_instance, reduce_cost_to_power, serialize
+from oracles import (
+    dreyfus_wagner_reference,
+    exact_min_power_reference,
+    min_cost_tree_bruteforce,
+    min_power_tree_bruteforce,
+)
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def leaves(instance, edge_ids) -> set[int]:
+    return {x for x, ids in incidence(instance.edges, edge_ids).items() if len(ids) == 1}
+
+
+def reduced_instances():
+    """The 100 reduced instances of acceptance criterion 2 (up to 31 nodes)."""
+    for seed in range(100):
+        rng = random.Random(50_000 + seed)
+        n = rng.randint(3, 8)
+        inst = generate("uniform-random", n, rng.randint(2, n), 50_000 + seed,
+                        edge_prob=0.15, cost_max=9)
+        yield reduce_cost_to_power(inst)
 
 
 def test_triangle_all_terminals():
@@ -50,10 +74,59 @@ def test_node_guard():
 
 
 def test_deterministic_tie_break():
-    # two optima; the lexicographically smallest edge list wins
+    # two optima; the search includes the cheapest crossing edge first, by
+    # (weight, id), so it reaches (0, 1) before (2, 3)
     text = "nodes 4\nedge 0 1 2\nedge 1 3 2\nedge 0 2 2\nedge 2 3 2\nterminals 0 3\nroot 0\n"
     tree = exact_min_power(parse_instance(text), "steiner")
     assert tree.edges == (0, 1)
+
+
+def test_tie_rule_first_optimum_in_search_order():
+    # (0, 2) and Prim's tree (1, 2, 3) both have power 8; the first descent
+    # reaches Prim's tree, and no later tree improves on it
+    text = ("nodes 4\nedge 0 1 3\nedge 0 2 2\nedge 1 3 2\nedge 2 3 1\n"
+            "terminals 0 1 3\nroot 0\n")
+    tree = exact_min_power(parse_instance(text), "steiner")
+    assert tree.edges == (1, 2, 3)
+    assert tree.total_power == 8
+
+
+def test_steiner_leaves_are_terminals():
+    # zero-cost edges to Steiner leaves tie with the tree without them;
+    # test_matches_reference checks the leaves of every other result
+    inst = generate("two-level", 6, 4, 504)
+    tree = exact_min_power(inst, "steiner")
+    assert tree.edges == (1, 2, 5)
+    assert leaves(inst, tree.edges) <= inst.terminals
+
+
+def test_readme_library_sketch(tmp_path, monkeypatch):
+    code = re.search(r"## Library sketch\n\n```python\n(.*?)```", README.read_text(), re.S).group(1)
+    (tmp_path / "x.mpst").write_text(serialize(generate("two-level", 6, 4, 504)))
+    monkeypatch.chdir(tmp_path)
+    exec(compile(code, "README.md", "exec"), {})
+
+
+def test_matches_reference():
+    # same power as the branch-and-bound that walked every tied optimum; the
+    # new tree is a tree on the required nodes whose leaves are all required
+    cases = [
+        (generate(kind, nodes, 2 + nodes // 3, 16_000 + 100 * nodes + len(kind),
+                  edge_prob=0.4, cost_max=4), mode, 12)
+        for kind in GENERATOR_KINDS
+        for nodes in (range(3, 5) if kind == "reduction-wrapped" else range(3, 13))
+        for mode in ("steiner", "spanning")
+    ]
+    cases += [(reduced, "steiner", 40) for reduced in reduced_instances()]
+    for inst, mode, guard in cases:
+        if inst.node_count > guard:
+            continue
+        required = frozenset(range(inst.node_count)) if mode == "spanning" else inst.terminals
+        tree = exact_min_power(inst, mode, node_guard=guard)
+        want = exact_min_power_reference(inst, mode, node_guard=guard)
+        assert tree.total_power == want.total_power
+        assert connects(inst.node_count, [inst.edges[e] for e in tree.edges], required)
+        assert leaves(inst, tree.edges) <= required
 
 
 def test_baseline_two_terminal():
