@@ -16,7 +16,7 @@ from .analysis import (
     theoretical_factor,
     witness_stats,
 )
-from .components import Component, enumerate_columns, min_power_component
+from .components import ColumnSet, Component, enumerate_columns, min_power_component
 from .decomposition import (
     Decomposition,
     attach_dummy_leaves,
@@ -44,7 +44,7 @@ from .trees import CostedTree, random_full_component
 __version__ = "0.1.0"
 
 __all__ = [
-    "Component", "CostedTree", "Decomposition", "Instance", "InstanceError",
+    "ColumnSet", "Component", "CostedTree", "Decomposition", "Instance", "InstanceError",
     "LpState", "PathResult", "PowerTree", "RunTrace",
     "attach_dummy_leaves", "baseline_min_cost", "bounded_degree_decompose",
     "build_binary_tree", "check_delta_properties",

@@ -115,11 +115,11 @@ def cmd_lp(args: argparse.Namespace) -> int:
     instance = _load_instance(args.instance)
     columns = enumerate_columns(instance, args.k)
     state = solve_lp(instance, columns, tol=args.tol)
-    nonzero = {
-        f"({ '+'.join(str(t) for t in sorted(columns[j].terminal_set)) },{columns[j].sink})": round(v, 9)
-        for j, v in sorted(state.x.items())
-        if v > args.tol
-    }
+    nonzero = {}
+    for j, v in sorted(state.x.items()):
+        if v > args.tol:
+            i, sink = columns.column(j)
+            nonzero[f"({'+'.join(map(str, columns.members[i]))},{sink})"] = round(v, 9)
     _emit({
         "objective": round(state.objective, 9),
         "rows": len(state.rows),

@@ -7,13 +7,16 @@ every topology edge by a boundary edge on each side joined through a
 boundary-capped min-power path whose interior avoids all topology nodes.
 Realizations whose union contains a cycle are discarded, not repaired.
 
-Every search adds and compares the instance's scaled int weights; a
-component's power becomes a Fraction once per terminal set, in `Component`.
+Every search adds and compares the instance's scaled int weights. The LP
+columns are one `ColumnSet`, which keeps p_Q as a scaled int per terminal
+set; a power becomes a Fraction only in a `Component` read from it.
 """
 
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
@@ -215,82 +218,88 @@ def _assemble(
     return best
 
 
-def _entering(instance: Instance, searches: dict, q: int):
-    """Terminal q's search states grouped by end node, each group a sorted list
-    of leg options (accrued power, entering edge id, entering edge weight,
-    edge path) in scaled units; computed once per q and kept in `searches`."""
-    if q not in searches:
-        weights = instance.weights
-        states = capped_state_search(instance, q, 0)
-        by_node: dict[int, list[tuple[int, int, int, tuple[int, ...]]]] = {}
-        for (node, eid), (power, _, _, edge_path) in states.items():
-            by_node.setdefault(node, []).append((power, eid, weights[eid], edge_path))
-        for opts in by_node.values():
+def _entering(instance: Instance, q: int) -> list:
+    """Terminal q's search states grouped by end node: one entry per node,
+    None where no state ends, else a sorted list of leg options (accrued
+    power, entering edge id, entering edge weight, edge path) in scaled
+    units. q's own entry is the empty leg of a junction at q."""
+    weights = instance.weights
+    by_node: list = [None] * instance.node_count
+    for (node, eid), (power, _, _, edge_path) in capped_state_search(instance, q, 0).items():
+        opts = by_node[node]
+        if opts is None:
+            opts = by_node[node] = []
+        opts.append((power, eid, weights[eid], edge_path))
+    for opts in by_node:
+        if opts is not None:
             opts.sort()
-        searches[q] = by_node
-    return searches[q]
+    by_node[q] = _EMPTY_LEG  # no state ends at q: a path never revisits its source
+    return by_node
 
 
 # a terminal junction's own leg: no edges, nothing accrued, nothing entering
 _EMPTY_LEG = [(0, None, 0, ())]
 
 
-def _component_three(instance: Instance, Q: frozenset[int], searches: dict) -> Component:
-    """|Q| = 3 fast path: the optimal tree is a spider with one junction.
+def _spider(e1: list, e2: list, e3: list) -> tuple[int, tuple[tuple[int, ...], ...]] | None:
+    """|Q| = 3 from its terminals' `_entering` lists: the optimal tree is a
+    spider with one junction.
 
     Enumerate the junction node c and the legs' entering edges (a terminal
     junction's own leg is empty); the sum of per-leg accrued powers plus the
     junction's max equals the spider's power when legs are disjoint and
     upper-bounds a contained tree otherwise, so the minimum over candidates
-    is exactly the optimum. The tree is recovered by pruning the argmin leg
-    union, which never raises power, so its power is that minimum. The union
-    is connected, so with one edge fewer than its nodes it is a tree already
-    and only its non-terminal leaves need stripping.
+    is exactly the optimum. Returns that scaled power and the argmin's three
+    edge paths, or None if Q cannot be connected; `_tree` prunes the legs'
+    union to a tree of that power.
     """
-    q_nodes = sorted(Q)
-    enter = [_entering(instance, searches, q) for q in q_nodes]
-
     best: tuple[int, tuple[tuple[int, ...], ...]] | None = None
-    for c in range(instance.node_count):
-        options = [_EMPTY_LEG if q == c else by_node.get(c) for q, by_node in zip(q_nodes, enter)]
-        if None in options:
+    for options1, options2, options3 in zip(e1, e2, e3):
+        if options1 is None or options2 is None or options3 is None:
             continue
-        for p1, _, c1, path1 in options[0]:
+        for p1, _, c1, path1 in options1:
             if best is not None and p1 >= best[0]:
                 break
-            for p2, _, c2, path2 in options[1]:
+            for p2, _, c2, path2 in options2:
                 p12 = p1 + p2
                 if best is not None and p12 >= best[0]:
                     break
                 c12 = max(c1, c2)
-                for p3, _, c3, path3 in options[2]:
+                for p3, _, c3, path3 in options3:
                     if best is not None and p12 + p3 >= best[0]:
                         break
                     value = p12 + p3 + max(c12, c3)
                     if best is None or value < best[0]:
                         best = (value, (path1, path2, path3))
-    if best is None:
-        raise ComponentError(f"terminals {sorted(Q)} cannot be connected")
-    union: set[int] = set()
-    for path in best[1]:
-        union.update(path)
-    edges = instance.edges
-    touched = {node for e in union for node in edges[e][:2]}
-    tree = strip_leaves(edges, union, Q) if len(union) == len(touched) - 1 else extract_tree(instance, union, Q)
-    return Component(Q, None, tuple(tree), Fraction(best[0], instance.scale))
+    return best
 
 
-def _component_pair(instance: Instance, Q: frozenset[int], searches: dict) -> Component:
-    """|Q| = 2: the min-power path, ties by (accrued power, entering edge id)."""
-    u, v = sorted(Q)
+def _pair(eu: list, v: int) -> tuple[int, tuple[tuple[int, ...]]] | None:
+    """|Q| = {u, v} from u's `_entering` list: the min-power path's scaled
+    power and its edge path as the one leg, ties by (accrued power, entering
+    edge id); None if u and v are disconnected."""
     best = None
-    for power, _, weight, edge_path in _entering(instance, searches, u).get(v, ()):
+    for power, _, weight, edge_path in eu[v] or ():
         total = power + weight
         if best is None or total < best[0]:
-            best = (total, edge_path)
-    if best is None:
-        raise ComponentError(f"terminals {sorted(Q)} cannot be connected")
-    return Component(Q, None, tuple(sorted(best[1])), Fraction(best[0], instance.scale))
+            best = (total, (edge_path,))
+    return best
+
+
+def _tree(instance: Instance, legs, Q: frozenset[int]) -> tuple[int, ...]:
+    """A component's tree from its search result: the sorted edges of a
+    single leg, or the union of a spider's three legs pruned to a tree,
+    which never raises power. That union is connected, so with one edge
+    fewer than its nodes it is a tree already and only its non-terminal
+    leaves need stripping."""
+    if len(legs) == 1:
+        return tuple(sorted(legs[0]))
+    union = set().union(*legs)
+    edges = instance.edges
+    touched = {node for e in union for node in edges[e][:2]}
+    if len(union) == len(touched) - 1:
+        return tuple(strip_leaves(edges, union, Q))
+    return tuple(extract_tree(instance, union, Q))
 
 
 def min_power_component(instance: Instance, terminal_subset, k_cap: int = 4) -> Component:
@@ -306,15 +315,24 @@ def min_power_component(instance: Instance, terminal_subset, k_cap: int = 4) -> 
         raise ComponentError(f"|Q|={len(Q)} exceeds k_cap={k_cap}")
     if len(Q) == 1:
         return Component(Q, None, (), Fraction(0))
-    if len(Q) == 2:
-        return _component_pair(instance, Q, {})
-    if len(Q) == 3:
-        return _component_three(instance, Q, {})
-
     q_nodes = tuple(sorted(Q))
-    nonterms = [x for x in range(instance.node_count) if x not in Q]
+    if len(Q) == 2:
+        best = _pair(_entering(instance, q_nodes[0]), q_nodes[1])
+    elif len(Q) == 3:
+        best = _spider(*(_entering(instance, q) for q in q_nodes))
+    else:
+        best = _component_four(instance, q_nodes)
+    if best is None:
+        raise ComponentError(f"terminals {sorted(Q)} cannot be connected")
+    return Component(Q, None, _tree(instance, best[1], Q), Fraction(best[0], instance.scale))
+
+
+def _component_four(instance: Instance, q_nodes: tuple[int, ...]) -> tuple[int, tuple[tuple[int, ...]]] | None:
+    """|Q| = 4 by structure guessing: the least (scaled power, sorted edges),
+    the edges as the one leg; None if Q cannot be connected."""
+    nonterms = [x for x in range(instance.node_count) if x not in q_nodes]
     best: tuple[int, tuple[int, ...]] | None = None
-    for a_size in range(0, len(Q) - 1):
+    for a_size in range(0, len(q_nodes) - 1):
         for A in combinations(nonterms, a_size):
             topo_nodes = q_nodes + A
             realizer = _PairRealizer(instance, topo_nodes)
@@ -327,13 +345,79 @@ def min_power_component(instance: Instance, terminal_subset, k_cap: int = 4) -> 
                     continue
                 if best is None or got[0] < best[0] or (got[0] == best[0] and got[1] < best[1]):
                     best = got
-    if best is None:
-        raise ComponentError(f"terminals {sorted(Q)} cannot be connected")
-    return Component(Q, None, best[1], Fraction(best[0], instance.scale))
+    return None if best is None else (best[0], (best[1],))
 
 
-def enumerate_columns(instance: Instance, k: int) -> list[Component]:
-    """All LP columns (Q, s) with 2 <= |Q| <= k, one Component per column.
+class ColumnSet(Sequence[Component]):
+    """The LP columns (Q, s) with 2 <= |Q| <= k, held once per terminal set Q.
+
+    Per Q, in enumeration order: its members in sorted order (`members`),
+    the frozenset (`sets`) and p_Q in the instance's scaled units (`powers`;
+    p_Q / `scale` is its cost). The sink only orients a column, so the
+    columns of Q are implicit: they are consecutive from `starts[i]`, one
+    per member in sorted order. Q's tree is built when a column of Q is
+    first read and then kept for every sink; until then a pair or a |Q| = 4
+    component keeps its edges and a spider its three legs. Per column, for
+    the cut rows, `masks` holds Q's terminal bitmask and `sink_bits` the
+    sink's bit; `bits` gives the i-th smallest terminal bit i.
+    """
+
+    def __init__(self, instance: Instance):
+        self.instance = instance
+        self.scale = instance.scale
+        self.members: list[tuple[int, ...]] = []
+        self.sets: list[frozenset[int]] = []
+        self.powers: list[int] = []
+        self.starts: list[int] = []
+        self._legs: list[tuple[tuple[int, ...], ...]] = []
+        self._trees: dict[int, tuple[int, ...]] = {}
+        self._count = 0
+        self.bits = {t: 1 << i for i, t in enumerate(sorted(instance.terminals))}
+        self.masks: list[int] = []
+        self.sink_bits: list[int] = []
+
+    def add(self, members: tuple[int, ...], power: int, legs: tuple[tuple[int, ...], ...]) -> None:
+        """Append Q = `members` (sorted) of scaled power `power`, its tree
+        to be built from `legs` as `_tree` does."""
+        self.members.append(members)
+        self.sets.append(frozenset(members))
+        self.powers.append(power)
+        self.starts.append(self._count)
+        self._legs.append(legs)
+        self._count += len(members)
+        member_bits = [self.bits[t] for t in members]
+        self.masks += [sum(member_bits)] * len(members)
+        self.sink_bits += member_bits
+
+    def mask(self, nodes) -> int:
+        """Bitmask of the terminals among `nodes`."""
+        bits = self.bits
+        return sum(bits[t] for t in nodes if t in bits)
+
+    def column(self, j: int) -> tuple[int, int]:
+        """Column j as (index of its terminal set, sink)."""
+        j = range(self._count)[j]  # bounds and negative indices as for a list
+        i = bisect_right(self.starts, j) - 1
+        return i, self.members[i][j - self.starts[i]]
+
+    def tree(self, i: int) -> tuple[int, ...]:
+        """Edges of terminal set i's tree, built on first read."""
+        tree = self._trees.get(i)
+        if tree is None:
+            tree = self._trees[i] = _tree(self.instance, self._legs[i], self.sets[i])
+        return tree
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __getitem__(self, j: int) -> Component:
+        """Column j as a `Component`, its tree built if Q's is not yet."""
+        i, sink = self.column(j)
+        return Component(self.sets[i], sink, self.tree(i), Fraction(self.powers[i], self.scale))
+
+
+def enumerate_columns(instance: Instance, k: int) -> ColumnSet:
+    """All LP columns (Q, s) with 2 <= |Q| <= k, as one column set.
 
     p_Q is computed once per Q and shared across its sink choices; terminal
     sets that cannot be connected are skipped. Guarded at 50,000 columns.
@@ -345,20 +429,27 @@ def enumerate_columns(instance: Instance, k: int) -> list[Component]:
     count = sum(comb(r, j) * j for j in range(2, min(k, r) + 1))
     if count > COLUMN_GUARD:
         raise ComponentError(f"column count {count} exceeds guard {COLUMN_GUARD}")
-    # the per-terminal state searches are Q-independent; share them
-    searches: dict = {}
-    columns: list[Component] = []
-    for size in range(2, min(k, r) + 1):
-        for subset in combinations(terms, size):
-            Q = frozenset(subset)
+    # the per-terminal state searches are Q-independent: one per terminal,
+    # made when a terminal set first needs it
+    enter: list = [None] * r
+    columns = ColumnSet(instance)
+    for a, b in combinations(range(r), 2):
+        if enter[a] is None:
+            enter[a] = _entering(instance, terms[a])
+        got = _pair(enter[a], terms[b])
+        if got is not None:
+            columns.add((terms[a], terms[b]), *got)
+    if k >= 3 and r >= 3:
+        enter[-1] = _entering(instance, terms[-1])
+        for a, b, c in combinations(range(r), 3):
+            got = _spider(enter[a], enter[b], enter[c])
+            if got is not None:
+                columns.add((terms[a], terms[b], terms[c]), *got)
+    if k == 4:
+        for subset in combinations(terms, 4):
             try:
-                if size == 2:
-                    comp = _component_pair(instance, Q, searches)
-                elif size == 3:
-                    comp = _component_three(instance, Q, searches)
-                else:
-                    comp = min_power_component(instance, Q, k_cap=k)
+                comp = min_power_component(instance, subset, k_cap=k)
             except ComponentError:
                 continue
-            columns.extend(Component(Q, s, comp.edges, comp.power) for s in subset)
+            columns.add(subset, int(comp.power * instance.scale), (comp.edges,))
     return columns

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .components import Component
+from .components import ColumnSet
 from .instance import Instance
 
 DEFAULT_TOL = 1e-7
@@ -28,7 +28,7 @@ class LpError(ValueError):
 
 @dataclass
 class LpState:
-    columns: list[Component]
+    columns: ColumnSet
     rows: list[frozenset[int]]
     x: dict[int, float]
     objective: float
@@ -38,11 +38,12 @@ class LpState:
         return sum(self.x.values())
 
 
-def row_support(columns: list[Component], cut: frozenset[int]) -> list[int]:
+def row_support(columns: ColumnSet, cut: frozenset[int]) -> list[int]:
     """Column indices entering the cut row for W: sink outside W, Q meets W."""
+    w = columns.mask(cut)
     return [
-        j for j, col in enumerate(columns)
-        if col.sink not in cut and col.terminal_set & cut
+        j for j, mask, sink in zip(range(len(columns)), columns.masks, columns.sink_bits)
+        if mask & w and not sink & w
     ]
 
 
@@ -196,7 +197,7 @@ class _FlowNet:
 
 def separate(
     instance: Instance,
-    columns: list[Component],
+    columns: ColumnSet,
     x: dict[int, float],
     tol: float = DEFAULT_TOL,
 ) -> frozenset[int] | None:
@@ -215,10 +216,10 @@ def separate(
     net = _FlowNet(len(terms) + len(live))
     inf = sum(x.values()) + 1.0
     for gadget, j in enumerate(live, len(terms)):
-        col = columns[j]
-        net.add(gadget, index[col.sink], x[j])
-        for q in col.terminal_set:
-            if q != col.sink:
+        i, sink = columns.column(j)
+        net.add(gadget, index[sink], x[j])
+        for q in columns.sets[i]:
+            if q != sink:
                 net.add(index[q], gadget, inf)
     cap0 = list(net.cap)
 
@@ -238,7 +239,7 @@ def separate(
 
 def solve_lp(
     instance: Instance,
-    columns: list[Component],
+    columns: ColumnSet,
     tol: float = DEFAULT_TOL,
 ) -> LpState:
     """Cutting-plane solve of the component LP restricted to the given columns.
@@ -254,12 +255,18 @@ def solve_lp(
     rows: list[frozenset[int]] = [frozenset({t}) for t in others]
     known = set(rows)
     if not rows:
-        return LpState(list(columns), [], {}, 0.0)
+        return LpState(columns, [], {}, 0.0)
+    if not columns:
+        raise LpError(f"infeasible: terminal {others[0]} has no covering column")
     supports = [row_support(columns, w) for w in rows]
     for t, support in zip(others, supports):
         if not support:
             raise LpError(f"infeasible: terminal {t} has no covering column")
-    lp = _DualSimplex([float(col.power) for col in columns])
+    # int true division rounds correctly, so each price is float(p_Q)
+    prices = []
+    for power, members in zip(columns.powers, columns.members):
+        prices.extend([power / columns.scale] * len(members))
+    lp = _DualSimplex(prices)
     for support in supports:
         lp.add_row(support)
     history: list[float] = []
@@ -268,7 +275,7 @@ def solve_lp(
         history.append(value)
         cut = separate(instance, columns, x, tol)
         if cut is None:
-            return LpState(list(columns), list(rows), x, value, tuple(history))
+            return LpState(columns, list(rows), x, value, tuple(history))
         if cut in known:
             raise LpError(f"separation returned an existing row {sorted(cut)}; tolerance mismatch")
         rows.append(cut)

@@ -7,8 +7,11 @@ the same subset sweep, and tiny LPs by rational vertex enumeration. The
 must give the same results, ties included. Every oracle computes on the
 instance's Fraction costs, never on the scaled int weights the package's
 solvers use, except `irr_solve_reference`, which keeps an earlier IRR loop
-around the package's own layers, and `exact_min_power_reference`, which
-keeps the earlier branch-and-bound verbatim.
+around the package's own layers, `exact_min_power_reference`, which keeps
+the earlier branch-and-bound verbatim, and `enumerate_columns_reference`
+and `solve_lp_reference`, which keep the column list of one `Component` per
+column (Q, s) and the LP that read it, on the package's searches, simplex
+and flow network.
 """
 
 from __future__ import annotations
@@ -17,17 +20,19 @@ import heapq
 import random
 from fractions import Fraction
 from itertools import combinations, compress
-from math import ceil
+from math import ceil, comb, lcm
 from operator import not_
 
 from powertree.analysis import AnalysisError, MarkedBinaryTree
-from powertree.components import Component, ComponentError, enumerate_columns
+from powertree.components import COLUMN_GUARD, Component, ComponentError, enumerate_columns, min_power_component
 from powertree.decomposition import Decomposition
 from powertree.exact import SolverError
 from powertree.graph import UnionFind, connects, rooted_children, strip_leaves
 from powertree.instance import Instance, PowerTree, evaluate
 from powertree.irr import IrrError, IterationRecord, RunTrace, prune, zero_power_tree_exists
-from powertree.lp import solve_lp
+from powertree.lp import DEFAULT_TOL, LpError, LpState, _DualSimplex, _FlowNet, solve_lp
+from powertree.pathpower import capped_state_search
+from powertree.pruning import extract_tree
 from powertree.trees import CostedTree, TreeError, validate_full_component
 
 
@@ -69,35 +74,58 @@ def min_power_path_bruteforce(instance: Instance, src: int, dst: int) -> Fractio
 
 
 def min_power_tree_bruteforce(instance: Instance, required: frozenset[int]) -> Fraction | None:
-    """Minimum power over all acyclic edge subsets connecting the required set."""
-    m = len(instance.edges)
-    best: Fraction | None = None
-    for mask in range(1 << m):
-        ids = [e for e in range(m) if mask >> e & 1]
-        parent = list(range(instance.node_count))
+    """Minimum power over all acyclic edge subsets connecting the required set.
 
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
+    A depth-first search decides each edge in id order, excluding it and
+    then including it; an edge that would close a cycle is never included,
+    so every acyclic subset is reached exactly once and no cyclic one is.
+    Costs are scaled to ints by the lcm of their denominators. The
+    union-find (union by size, no compression) counts the required nodes
+    per set and is undone on the way back.
+    """
+    if not required:
+        return None
+    scale = lcm(*(c.denominator for _, _, c in instance.edges))
+    edges = [(u, v, int(c * scale)) for u, v, c in instance.edges]
+    parent = list(range(instance.node_count))
+    size = [1] * instance.node_count
+    held = [int(x in required) for x in range(instance.node_count)]
+    anchor = min(required)
+    node_max = [0] * instance.node_count  # 0 also for an untouched node
+    best: int | None = None
 
-        acyclic = True
-        for e in ids:
-            u, v, _ = instance.edges[e]
-            ru, rv = find(u), find(v)
-            if ru == rv:
-                acyclic = False
-                break
-            parent[ru] = rv
-        if not acyclic:
-            continue
-        if len({find(t) for t in required}) != 1:
-            continue
-        p = edge_power_reference(instance, ids)
-        if best is None or p < best:
-            best = p
-    return best
+    def find(x: int) -> int:
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    def decide(i: int, power: int) -> None:
+        nonlocal best
+        if i == len(edges):
+            if held[find(anchor)] == len(required) and (best is None or power < best):
+                best = power
+            return
+        decide(i + 1, power)
+        u, v, w = edges[i]
+        ru, rv = find(u), find(v)
+        if ru == rv:
+            return
+        if size[ru] > size[rv]:
+            ru, rv = rv, ru
+        parent[ru] = rv
+        size[rv] += size[ru]
+        held[rv] += held[ru]
+        mu, mv = node_max[u], node_max[v]
+        node_max[u] = max(mu, w)
+        node_max[v] = max(mv, w)
+        decide(i + 1, power + node_max[u] - mu + node_max[v] - mv)
+        node_max[u], node_max[v] = mu, mv
+        held[rv] -= held[ru]
+        size[rv] -= size[ru]
+        parent[ru] = ru
+
+    decide(0, 0)
+    return None if best is None else Fraction(best, scale)
 
 
 def min_cost_tree_bruteforce(instance: Instance, required: frozenset[int]) -> Fraction | None:
@@ -637,6 +665,175 @@ def component_three_reference(instance: Instance, Q: frozenset[int]) -> Componen
     tree = extract_tree_reference(instance, union, Q)
     power = edge_power_reference(instance, tree)
     return Component(Q, None, tuple(tree), power)
+
+
+def _entering_reference(instance: Instance, searches: dict, q: int):
+    """Terminal q's search states grouped by end node, each group a sorted list
+    of leg options (accrued power, entering edge id, entering edge weight,
+    edge path) in scaled units; computed once per q and kept in `searches`."""
+    if q not in searches:
+        weights = instance.weights
+        states = capped_state_search(instance, q, 0)
+        by_node: dict[int, list[tuple[int, int, int, tuple[int, ...]]]] = {}
+        for (node, eid), (power, _, _, edge_path) in states.items():
+            by_node.setdefault(node, []).append((power, eid, weights[eid], edge_path))
+        for opts in by_node.values():
+            opts.sort()
+        searches[q] = by_node
+    return searches[q]
+
+
+_EMPTY_LEG_REFERENCE = [(0, None, 0, ())]
+
+
+def _component_three_scaled_reference(instance: Instance, Q: frozenset[int], searches: dict) -> Component:
+    """The |Q| = 3 spider on scaled weights, its tree pruned at once."""
+    q_nodes = sorted(Q)
+    enter = [_entering_reference(instance, searches, q) for q in q_nodes]
+
+    best: tuple[int, tuple[tuple[int, ...], ...]] | None = None
+    for c in range(instance.node_count):
+        options = [_EMPTY_LEG_REFERENCE if q == c else by_node.get(c) for q, by_node in zip(q_nodes, enter)]
+        if None in options:
+            continue
+        for p1, _, c1, path1 in options[0]:
+            if best is not None and p1 >= best[0]:
+                break
+            for p2, _, c2, path2 in options[1]:
+                p12 = p1 + p2
+                if best is not None and p12 >= best[0]:
+                    break
+                c12 = max(c1, c2)
+                for p3, _, c3, path3 in options[2]:
+                    if best is not None and p12 + p3 >= best[0]:
+                        break
+                    value = p12 + p3 + max(c12, c3)
+                    if best is None or value < best[0]:
+                        best = (value, (path1, path2, path3))
+    if best is None:
+        raise ComponentError(f"terminals {sorted(Q)} cannot be connected")
+    union: set[int] = set()
+    for path in best[1]:
+        union.update(path)
+    edges = instance.edges
+    touched = {node for e in union for node in edges[e][:2]}
+    tree = strip_leaves(edges, union, Q) if len(union) == len(touched) - 1 else extract_tree(instance, union, Q)
+    return Component(Q, None, tuple(tree), Fraction(best[0], instance.scale))
+
+
+def _component_pair_scaled_reference(instance: Instance, Q: frozenset[int], searches: dict) -> Component:
+    """|Q| = 2: the min-power path, ties by (accrued power, entering edge id)."""
+    u, v = sorted(Q)
+    best = None
+    for power, _, weight, edge_path in _entering_reference(instance, searches, u).get(v, ()):
+        total = power + weight
+        if best is None or total < best[0]:
+            best = (total, edge_path)
+    if best is None:
+        raise ComponentError(f"terminals {sorted(Q)} cannot be connected")
+    return Component(Q, None, tuple(sorted(best[1])), Fraction(best[0], instance.scale))
+
+
+def enumerate_columns_reference(instance: Instance, k: int) -> list[Component]:
+    """The column enumeration that built one Component per column (Q, s),
+    every tree pruned up front; kept verbatim on the package's searches."""
+    if not 2 <= k <= 4:
+        raise ComponentError(f"k must be in [2, 4], got {k}")
+    terms = sorted(instance.terminals)
+    r = len(terms)
+    count = sum(comb(r, j) * j for j in range(2, min(k, r) + 1))
+    if count > COLUMN_GUARD:
+        raise ComponentError(f"column count {count} exceeds guard {COLUMN_GUARD}")
+    searches: dict = {}
+    columns: list[Component] = []
+    for size in range(2, min(k, r) + 1):
+        for subset in combinations(terms, size):
+            Q = frozenset(subset)
+            try:
+                if size == 2:
+                    comp = _component_pair_scaled_reference(instance, Q, searches)
+                elif size == 3:
+                    comp = _component_three_scaled_reference(instance, Q, searches)
+                else:
+                    comp = min_power_component(instance, Q, k_cap=k)
+            except ComponentError:
+                continue
+            columns.extend(Component(Q, s, comp.edges, comp.power) for s in subset)
+    return columns
+
+
+def all_cut_rows(instance: Instance):
+    """Every cut row W of the LP: each nonempty set of non-root terminals."""
+    others = [t for t in sorted(instance.terminals) if t != instance.root]
+    for r in range(1, len(others) + 1):
+        for sub in combinations(others, r):
+            yield frozenset(sub)
+
+
+def row_support_reference(columns: list[Component], cut: frozenset[int]) -> list[int]:
+    """Column indices entering the cut row for W: sink outside W, Q meets W."""
+    return [
+        j for j, col in enumerate(columns)
+        if col.sink not in cut and col.terminal_set & cut
+    ]
+
+
+def separate_reference(instance: Instance, columns: list[Component], x: dict[int, float],
+                       tol: float = DEFAULT_TOL) -> frozenset[int] | None:
+    """Max-flow separation over a list of Components, on the package's flow
+    network."""
+    terms = sorted(instance.terminals)
+    index = {t: i for i, t in enumerate(terms)}
+    live = [j for j in sorted(x) if x[j] > 0.0]
+    net = _FlowNet(len(terms) + len(live))
+    inf = sum(x.values()) + 1.0
+    for gadget, j in enumerate(live, len(terms)):
+        col = columns[j]
+        net.add(gadget, index[col.sink], x[j])
+        for q in col.terminal_set:
+            if q != col.sink:
+                net.add(index[q], gadget, inf)
+    cap0 = list(net.cap)
+
+    root = index[instance.root]
+    worst: tuple[float, int, set[int]] | None = None
+    for t in terms:
+        if t == instance.root:
+            continue
+        flow = net.max_flow(index[t], root, cap0)
+        if flow < 1.0 - tol and (worst is None or flow < worst[0]):
+            worst = (flow, t, net.reachable(index[t]))
+    if worst is None:
+        return None
+    reachable = worst[2]
+    return frozenset(t for t in terms if index[t] in reachable)
+
+
+def solve_lp_reference(instance: Instance, columns: list[Component], tol: float = DEFAULT_TOL) -> LpState:
+    """The cutting-plane loop over a list of Components, each price
+    `float(col.power)`, on the package's dual simplex tableau."""
+    terms = sorted(instance.terminals)
+    others = [t for t in terms if t != instance.root]
+    rows: list[frozenset[int]] = [frozenset({t}) for t in others]
+    if not rows:
+        return LpState(list(columns), [], {}, 0.0)
+    supports = [row_support_reference(columns, w) for w in rows]
+    for t, support in zip(others, supports):
+        if not support:
+            raise LpError(f"infeasible: terminal {t} has no covering column")
+    lp = _DualSimplex([float(col.power) for col in columns])
+    for support in supports:
+        lp.add_row(support)
+    history: list[float] = []
+    while True:
+        x, value = lp.solve()
+        history.append(value)
+        cut = separate_reference(instance, columns, x, tol)
+        if cut is None:
+            return LpState(list(columns), list(rows), x, value, tuple(history))
+        assert cut not in rows
+        rows.append(cut)
+        lp.add_row(row_support_reference(columns, cut))
 
 
 def irr_solve_reference(instance: Instance, k: int, seed: int, max_iters: int | None = None):

@@ -196,6 +196,40 @@ def test_cli_solve_exact(tmp_path, capsys):
     assert set(record) >= {"edges", "node_powers", "total_power", "total_cost"}
 
 
+LP_INSTANCE = """nodes 7
+edge 0 1 10
+edge 1 2 4
+edge 0 3 8
+edge 1 4 3
+edge 1 5 4
+edge 3 6 1
+edge 0 2 5
+edge 0 6 5
+edge 1 3 2
+edge 1 6 9
+edge 2 3 9
+edge 3 4 5
+terminals 0 1 2 4 5 6
+root 0
+"""
+
+
+@pytest.mark.parametrize("k, want", [
+    (2, {"columns": 30, "objective": 37.0, "rows": 10,
+         "nonzero": {"(0+2,0)": 1.0, "(1+2,2)": 1.0, "(1+4,1)": 1.0, "(1+5,1)": 1.0, "(1+6,1)": 1.0}}),
+    (3, {"columns": 90, "objective": 29.5, "rows": 10,
+         "nonzero": {"(0+1+2,0)": 1.0, "(1+4+5,1)": 0.5, "(1+4+6,1)": 0.5, "(1+5+6,1)": 0.5}}),
+])
+def test_cli_lp_golden(tmp_path, capsys, k, want):
+    # `generate("uniform-random", 7, 6, 28, edge_prob=0.5)`: a fractional
+    # optimum, four cut rows past the singletons and a sink that is not the
+    # smallest terminal of its set
+    path = tmp_path / "x.mpst"
+    path.write_text(LP_INSTANCE)
+    assert main(["lp", str(path), "--k", str(k)]) == 0
+    assert json.loads(capsys.readouterr().out) == want
+
+
 def test_cli_unknown_flag_exits_2(tmp_path):
     with pytest.raises(SystemExit) as info:
         main(["solve", "missing.mpst", "--algo", "exact", "--bogus"])

@@ -3,6 +3,16 @@ from fractions import Fraction as F
 
 import pytest
 
+import powertree.components as components_module
+from oracles import (
+    all_cut_rows,
+    component_three_reference,
+    enumerate_columns_reference,
+    min_power_tree_bruteforce,
+    row_support_reference,
+    solve_lp_reference,
+)
+from powertree.bench import with_mode
 from powertree.components import (
     ComponentError,
     enumerate_columns,
@@ -10,8 +20,9 @@ from powertree.components import (
 )
 from powertree.generators import GENERATOR_KINDS, generate
 from powertree.instance import Instance, evaluate, parse_instance
+from powertree.irr import irr_solve
+from powertree.lp import row_support, solve_lp
 from powertree.pathpower import min_power_path
-from oracles import component_three_reference, min_power_tree_bruteforce
 
 
 def zero_costs(inst: Instance, fraction: float, seed: int) -> Instance:
@@ -159,3 +170,88 @@ def test_column_guard():
     inst = generate("uniform-random", 40, 40, 1, edge_prob=0.1)
     with pytest.raises(ComponentError, match="guard"):
         enumerate_columns(inst, 4)
+
+
+def column_cases():
+    """Every generator kind in both modes with 0/30/60/90% of its costs
+    zeroed; the second seed divides each cost by a small prime and 10^20, so
+    the common denominator has more significant bits than a float holds."""
+    for kind in GENERATOR_KINDS:
+        for mode in ("steiner", "spanning"):
+            for fraction in (0, 0.3, 0.6, 0.9):
+                for s in range(2):
+                    nodes, terms = 5 + s, 3 + s
+                    if kind == "reduction-wrapped":  # three edges per base edge; k=4 spanning is slow
+                        nodes = terms = 2 if mode == "spanning" else 3
+                    inst = generate(kind, nodes, terms, 18_000 + s, edge_prob=0.5, cost_max=3)
+                    if s:
+                        inst = inst.with_costs([c / ((3, 7, 11, 13)[e % 4] * 10**20)
+                                                for e, (_, _, c) in enumerate(inst.edges)])
+                    yield (kind, mode, fraction, s), with_mode(zero_costs(inst, fraction, s), mode)
+
+
+def test_column_set_matches_reference():
+    # the column set must read back as the list of one Component per column
+    # (Q, s) it replaced, in the same order, and the LP must see the same
+    # prices and cut rows: its rows, x and objective history are equal floats
+    checked = 0
+    for case, inst in column_cases():
+        for k in (2, 3, 4):
+            want = enumerate_columns_reference(inst, k)
+            got = enumerate_columns(inst, k)
+            assert len(got) == len(want), (case, k)
+            assert [(c.terminal_set, c.sink, c.edges, c.power) for c in got] == \
+                [(c.terminal_set, c.sink, c.edges, c.power) for c in want], (case, k)
+            lp_want = solve_lp_reference(inst, want)
+            lp_got = solve_lp(inst, got)
+            assert (lp_got.rows, lp_got.x, lp_got.objective_history) == \
+                (lp_want.rows, lp_want.x, lp_want.objective_history), (case, k)
+            for w in all_cut_rows(inst):
+                assert row_support(got, w) == row_support_reference(want, w), (case, k, sorted(w))
+            checked += len(want)
+    assert checked >= 5000
+
+
+def counting_tree_builds(monkeypatch) -> list[str]:
+    """Log of every `extract_tree` and `strip_leaves` call made by the
+    components module."""
+    calls: list[str] = []
+    for name in ("extract_tree", "strip_leaves"):
+        real = getattr(components_module, name)
+
+        def counted(*args, _name=name, _real=real, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(components_module, name, counted)
+    return calls
+
+
+def test_trees_built_on_first_read(monkeypatch):
+    calls = counting_tree_builds(monkeypatch)
+    inst = generate("uniform-random", 8, 6, 18_100, edge_prob=0.4, cost_max=5)
+    cols = enumerate_columns(inst, 3)
+    assert calls == []
+    spiders = [i for i, members in enumerate(cols.members) if len(members) == 3]
+    assert len(spiders) == 20
+    for i in spiders:
+        start = cols.starts[i]
+        before = len(calls)
+        first, second = cols[start], cols[start + 1]
+        assert len(calls) == before + 1
+        assert (first.sink, second.sink) == cols.members[i][:2]
+        assert first.edges == second.edges and first.power == second.power
+    pairs = [cols[cols.starts[i]] for i, members in enumerate(cols.members) if len(members) == 2]
+    assert len(pairs) == 15 and len(calls) == 20
+
+
+def test_irr_builds_at_most_one_tree_per_iteration(monkeypatch):
+    calls = counting_tree_builds(monkeypatch)
+    iterations = 0
+    for s in range(10):
+        inst = with_mode(generate("uniform-random", 7, 4, 18_200 + s, edge_prob=0.5, cost_max=5), "spanning")
+        before = len(calls)
+        _, trace = irr_solve(inst, 3, seed=s)
+        assert len(calls) - before <= trace.iterations, s
+        iterations += trace.iterations
+    assert 0 < len(calls) <= iterations

@@ -74,7 +74,7 @@ def test_api_powers_are_fractions_of_their_edges():
             scaled = inst.with_costs([c * r for _, _, c in inst.edges])
             single = min(scaled.terminals)
             singles = [min_power_component(scaled, {single}, 1)]
-            for col in enumerate_columns(scaled, 4) + singles:
+            for col in list(enumerate_columns(scaled, 4)) + singles:
                 assert isinstance(col, Component) and type(col.power) is Fraction, (kind, s, r)
                 assert col.power == evaluate(restricted(scaled, col.terminal_set), col.edges).total_power, (kind, s, r)
             for a, b in combinations(sorted(scaled.terminals), 2):

@@ -1,4 +1,3 @@
-import itertools
 import random
 from fractions import Fraction as F
 
@@ -10,14 +9,7 @@ from powertree.exact import exact_min_power
 from powertree.generators import GENERATOR_KINDS, generate
 from powertree.instance import parse_instance
 from powertree.lp import LpError, lp_core_solve, row_support, separate, solve_lp
-from oracles import lp_vertex_enumeration
-
-
-def all_cut_rows(instance):
-    others = [t for t in sorted(instance.terminals) if t != instance.root]
-    for r in range(1, len(others) + 1):
-        for sub in itertools.combinations(others, r):
-            yield frozenset(sub)
+from oracles import all_cut_rows, lp_vertex_enumeration
 
 
 # ---------------------------------------------------------------------------
