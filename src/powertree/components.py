@@ -333,10 +333,12 @@ def _component_four(instance: Instance, q_nodes: tuple[int, ...]) -> tuple[int, 
     nonterms = [x for x in range(instance.node_count) if x not in q_nodes]
     best: tuple[int, tuple[int, ...]] | None = None
     for a_size in range(0, len(q_nodes) - 1):
+        # the topologies depend only on |A|: decode them once per size
+        topologies = list(_labeled_trees(len(q_nodes) + a_size, len(q_nodes)))
         for A in combinations(nonterms, a_size):
             topo_nodes = q_nodes + A
             realizer = _PairRealizer(instance, topo_nodes)
-            for topo_edges in _labeled_trees(len(topo_nodes), len(q_nodes)):
+            for topo_edges in topologies:
                 got = _assemble(
                     instance, topo_nodes, topo_edges, realizer,
                     None if best is None else best[0],

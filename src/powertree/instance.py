@@ -169,17 +169,41 @@ class Instance:
         return Instance(self.node_count, new_edges, self.terminals, self.root)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class PowerTree:
-    """A tree solution of `instance`: edge ids, total power and total cost.
+    """A tree solution of `instance`, kept as its edge ids.
 
-    Equality and hashing compare the edges, power and cost, not the instance.
+    Total power, total cost and node powers are derived from the instance on
+    each access: the totals are int sums of `instance.weights` over
+    `instance.scale`, so they equal the Fraction sums of the costs. Equality
+    and hashing compare the edges, power and cost, not the instance.
     """
 
     edges: tuple[int, ...]
-    total_power: Fraction
-    total_cost: Fraction
-    instance: Instance = field(repr=False, compare=False)
+    instance: Instance = field(repr=False)
+
+    @property
+    def total_power(self) -> Fraction:
+        """Sum over the tree's nodes of each node's largest incident cost."""
+        inst = self.instance
+        return Fraction(edge_set_power(inst.scaled_edges(self.edges)), inst.scale)
+
+    @property
+    def total_cost(self) -> Fraction:
+        """Sum of the tree's edge costs."""
+        weights = self.instance.weights
+        return Fraction(sum(weights[e] for e in self.edges), self.instance.scale)
+
+    def _key(self) -> tuple:
+        return self.edges, self.total_power, self.total_cost
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, PowerTree):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     @property
     def node_powers(self) -> dict[int, Fraction]:
@@ -233,18 +257,15 @@ def evaluate(instance: Instance, edge_ids: Sequence[int]) -> PowerTree:
     if len(set(ids)) != len(ids):
         raise InstanceError("cyclic edge set (duplicate edge id)")
     uf = UnionFind(instance.node_count)
-    total_cost = Fraction(0)
     for eid in ids:
         if not (0 <= eid < len(instance.edges)):
             raise InstanceError(f"edge id {eid} out of range")
-        u, v, c = instance.edges[eid]
+        u, v, _ = instance.edges[eid]
         if not uf.union(u, v):
             raise InstanceError("cyclic edge set")
-        total_cost += c
     if not uf.joins(instance.terminals):
         raise InstanceError("edge set does not span all terminals")
-    total_power = sum(node_maxima(instance.edges[e] for e in ids).values(), Fraction(0))
-    return PowerTree(tuple(sorted(ids)), total_power, total_cost, instance)
+    return PowerTree(tuple(sorted(ids)), instance)
 
 
 def check_printable(edges: Iterable[tuple[int, int, Fraction]]) -> None:

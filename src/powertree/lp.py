@@ -122,10 +122,15 @@ def lp_core_solve(
     """Minimize objective over {x >= 0, sum_{j in support} x_j >= 1 per row}.
 
     One cold solve of the tableau `solve_lp` warm-starts. Returns the optimal
-    basic solution as a sparse dict and its value.
+    basic solution as a sparse dict and its value. Every support index must
+    lie in [0, n_cols).
     """
     if len(objective) != n_cols:
         raise LpError(f"objective has {len(objective)} entries for {n_cols} columns")
+    for support in row_supports:
+        bad = [j for j in support if not 0 <= j < n_cols]
+        if bad:
+            raise LpError(f"support index {bad[0]} outside [0, {n_cols})")
     lp = _DualSimplex(objective)
     for support in row_supports:
         lp.add_row(support)
@@ -151,7 +156,9 @@ class _FlowNet:
         self.to.append(u)
         self.cap.append(0.0)
 
-    def max_flow(self, s: int, t: int, cap0: list[float]) -> float:
+    def max_flow(self, s: int, t: int, cap0: list[float], enough: float) -> float:
+        """Augment from s to t until no path is left or the flow reaches
+        `enough`; below `enough` the flow and `reachable(s)` are exact."""
         self.cap = list(cap0)
         total = 0.0
         while True:
@@ -181,6 +188,8 @@ class _FlowNet:
                 self.cap[eid ^ 1] += bottleneck
                 v = self.to[eid ^ 1]
             total += bottleneck
+            if total >= enough:
+                return total
 
     def reachable(self, s: int) -> set[int]:
         seen = {s}
@@ -228,7 +237,8 @@ def separate(
     for t in terms:
         if t == instance.root:
             continue
-        flow = net.max_flow(index[t], root, cap0)
+        # a terminal whose flow reaches 1 - tol is not violated: stop there
+        flow = net.max_flow(index[t], root, cap0, 1.0 - tol)
         if flow < 1.0 - tol and (worst is None or flow < worst[0]):
             worst = (flow, t, net.reachable(index[t]))
     if worst is None:

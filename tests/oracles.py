@@ -800,7 +800,7 @@ def separate_reference(instance: Instance, columns: list[Component], x: dict[int
     for t in terms:
         if t == instance.root:
             continue
-        flow = net.max_flow(index[t], root, cap0)
+        flow = net.max_flow(index[t], root, cap0, float("inf"))  # always to completion
         if flow < 1.0 - tol and (worst is None or flow < worst[0]):
             worst = (flow, t, net.reachable(index[t]))
     if worst is None:

@@ -255,3 +255,19 @@ def test_irr_builds_at_most_one_tree_per_iteration(monkeypatch):
         assert len(calls) - before <= trace.iterations, s
         iterations += trace.iterations
     assert 0 < len(calls) <= iterations
+
+
+def test_topologies_decoded_once_per_steiner_set_size(monkeypatch):
+    # the labeled trees depend only on |A|, so |A| = 0, 1, 2 decode once each
+    calls: list[tuple[int, int]] = []
+    real = components_module._labeled_trees
+
+    def counted(size, min_degree_from):
+        calls.append((size, min_degree_from))
+        return real(size, min_degree_from)
+
+    monkeypatch.setattr(components_module, "_labeled_trees", counted)
+    inst = generate("uniform-random", 8, 4, 18_400, edge_prob=0.3)
+    assert inst.node_count == 8
+    min_power_component(inst, inst.terminals, 4)
+    assert calls == [(4, 4), (5, 4), (6, 4)]

@@ -1,3 +1,5 @@
+import dataclasses
+import pickle
 import random
 import time
 from fractions import Fraction as F
@@ -5,12 +7,13 @@ from fractions import Fraction as F
 import pytest
 
 from powertree.bench import run_solver, with_mode
-from powertree.exact import exact_min_power
+from powertree.exact import SolverError, exact_min_power
 from powertree.generators import GENERATOR_KINDS, generate
 from powertree.instance import (
     Instance,
     MAX_COST_DIGITS,
     InstanceError,
+    PowerTree,
     evaluate,
     format_cost,
     parse_cost,
@@ -18,7 +21,12 @@ from powertree.instance import (
     reduce_cost_to_power,
     serialize,
 )
-from oracles import min_cost_tree_bruteforce, min_power_tree_bruteforce, node_powers_reference
+from oracles import (
+    edge_power_reference,
+    min_cost_tree_bruteforce,
+    min_power_tree_bruteforce,
+    node_powers_reference,
+)
 
 
 def test_parse_minimal():
@@ -162,6 +170,58 @@ def test_tree_equality():
     swapped = parse_instance(text.replace("edge 0 1 1", "edge 0 1 3").replace("edge 1 2 3", "edge 1 2 1"))
     assert evaluate(swapped, [0, 1]) == evaluate(inst, [0, 1])
     assert evaluate(swapped, [0, 1]).node_powers != evaluate(inst, [0, 1]).node_powers
+
+
+def test_power_tree_keeps_only_edges_and_instance():
+    assert [f.name for f in dataclasses.fields(PowerTree)] == ["edges", "instance"]
+
+
+def test_tree_totals_equal_fraction_sums():
+    # the int sums over `scale` must equal the Fraction sums of the costs on
+    # every solver's trees, also when the common denominator passes 10^35
+    primes = [p for p in range(2, 120) if all(p % q for q in range(2, p))]
+    checked, widest = 0, 1
+    for kind in GENERATOR_KINDS:
+        for s in range(2):
+            nodes = 4 if kind == "reduction-wrapped" else 6 + s
+            base = generate(kind, nodes, 4, 18_000 + s, edge_prob=0.5, cost_max=9)
+            rational = base.with_costs([c / (primes[e] * 10**12) for e, (_, _, c) in enumerate(base.edges)])
+            widest = max(widest, rational.scale)
+            for inst in (base, rational):
+                for mode in ("steiner", "spanning"):
+                    for solver in ("irr", "exact", "mst", "steiner-cost"):
+                        try:
+                            tree = run_solver(with_mode(inst, mode), solver, mode, 3, s, None)[0]
+                        except SolverError:  # past the exact oracle's node guard
+                            continue
+                        power, cost = tree.total_power, tree.total_cost
+                        assert type(power) is F and type(cost) is F
+                        assert power == edge_power_reference(inst, tree.edges)
+                        assert cost == sum((inst.edges[e][2] for e in tree.edges), F(0))
+                        checked += 1
+    # less the exact solves of the 8 spanning reduction-wrapped instances
+    assert checked == len(GENERATOR_KINDS) * 2 * 2 * 2 * 4 - 8
+    assert widest > 10**35
+
+
+def test_tree_equality_compares_power_and_cost():
+    # same edges and the same power 7, but costs 4 and 7/2
+    a = evaluate(Instance(3, ((0, 1, F(1)), (1, 2, F(3))), frozenset({0, 2}), 0), [0, 1])
+    b = evaluate(Instance(3, ((0, 1, F(7, 2)), (1, 2, F(0))), frozenset({0, 2}), 0), [0, 1])
+    assert a.edges == b.edges and a.total_power == b.total_power == 7
+    assert a != b
+    c = evaluate(Instance(3, ((0, 1, F(1)), (1, 2, F(3))), frozenset({0, 1, 2}), 1), [1, 0])
+    assert a == c and hash(a) == hash(c)
+
+
+def test_tree_pickle_round_trip():
+    inst = generate("uniform-random", 8, 4, 18_300, edge_prob=0.4, cost_max=7)
+    tree = exact_min_power(inst)
+    again = pickle.loads(pickle.dumps(tree))
+    assert again == tree and hash(again) == hash(tree)
+    assert again.instance == inst
+    assert (again.total_power, again.total_cost, again.node_powers) == (
+        tree.total_power, tree.total_cost, tree.node_powers)
 
 
 def test_evaluate_errors():

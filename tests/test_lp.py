@@ -8,7 +8,7 @@ from powertree.components import enumerate_columns
 from powertree.exact import exact_min_power
 from powertree.generators import GENERATOR_KINDS, generate
 from powertree.instance import parse_instance
-from powertree.lp import LpError, lp_core_solve, row_support, separate, solve_lp
+from powertree.lp import LpError, _FlowNet, lp_core_solve, row_support, separate, solve_lp
 from oracles import all_cut_rows, lp_vertex_enumeration
 
 
@@ -35,6 +35,12 @@ def test_core_infeasible():
         lp_core_solve([[0], []], 1, [1.0])
 
 
+@pytest.mark.parametrize("rows", [[[0, -2]], [[0, 5]], [[-1]]])
+def test_core_rejects_support_index_out_of_range(rows):
+    with pytest.raises(LpError, match="outside"):
+        lp_core_solve(rows, 1, [1.0])
+
+
 def test_core_matches_vertex_enumeration():
     rng = random.Random(99)
     for _ in range(60):
@@ -55,6 +61,18 @@ def test_core_matches_vertex_enumeration():
 
 # ---------------------------------------------------------------------------
 # separation oracle
+
+
+def test_max_flow_stops_at_enough():
+    # two disjoint paths of capacity 0.5 each from node 0 to node 3
+    net = _FlowNet(4)
+    for u, v in ((0, 1), (1, 3), (0, 2), (2, 3)):
+        net.add(u, v, 0.5)
+    cap0 = list(net.cap)
+    assert net.max_flow(0, 3, cap0, 0.4) == pytest.approx(0.5)
+    # below the limit the flow is exact and so is the cut side
+    assert net.max_flow(0, 3, cap0, 2.0) == pytest.approx(1.0)
+    assert net.reachable(0) == {0}
 
 
 def test_separate_zero_mass():
