@@ -84,8 +84,10 @@ def parse_config(text: str) -> SuiteConfig:
                     number = int(value)
                 except ValueError:
                     raise BenchError(f"line {lineno}: {key} must be an integer, got {value!r}") from None
-                if key in ("reps", "threads") and number < 1:
+                if key in ("reps", "threads", "max_iters") and number < 1:
                     raise BenchError(f"line {lineno}: {key} must be >= 1")
+                if key == "k" and not 2 <= number <= 4:
+                    raise BenchError(f"line {lineno}: k must be in [2, 4], got {number}")
                 setattr(cfg, key, number)
             elif key == "mode":
                 if value not in ("steiner", "spanning"):

@@ -15,14 +15,12 @@ set; a power becomes a Fraction only in a `Component` read from it.
 from __future__ import annotations
 
 import heapq
-from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb
 
-from .graph import strip_leaves
 from .instance import Instance, edge_set_power
 from .pathpower import capped_state_search
 from .pruning import extract_tree
@@ -79,9 +77,6 @@ class _PairRealizer:
     def __init__(self, instance: Instance, topo_nodes: tuple[int, ...]):
         self.instance = instance
         self.topo = frozenset(topo_nodes)
-        self._edge_lookup: dict[tuple[int, int], int] = {}
-        for eid, (u, v, _) in enumerate(instance.edges):
-            self._edge_lookup[(min(u, v), max(u, v))] = eid
         self._options: dict[tuple[int, int], list[tuple[tuple[int, ...], int]]] = {}
         self._capped_cache: dict[tuple[int, int], dict] = {}
 
@@ -104,13 +99,11 @@ class _PairRealizer:
         weights = inst.weights
         found: dict[tuple[int, ...], int] = {}
 
-        direct = self._edge_lookup.get(key)
-        if direct is not None:
-            found[(direct,)] = 2 * weights[direct]
-
         for ea in inst.adjacency[a]:
             a2 = inst.other_end(ea, a)
             if a2 in self.topo:
+                if a2 == b:  # the direct edge
+                    found[(ea,)] = 2 * weights[ea]
                 continue
             cap_a = weights[ea]
             interiors = None
@@ -145,12 +138,6 @@ class _PairRealizer:
         return result
 
 
-def _find(par: dict[int, int], x: int) -> int:
-    while par.setdefault(x, x) != x:
-        x = par[x]
-    return x
-
-
 def _assemble(
     instance: Instance,
     topo_nodes: tuple[int, ...],
@@ -160,7 +147,12 @@ def _assemble(
 ) -> tuple[int, tuple[int, ...]] | None:
     """Pick one realization per topology edge, minimizing the power of the
     union edge set; unions with cycles are discarded. Branches whose partial
-    power already exceeds `threshold` are cut (power grows monotonically)."""
+    power already exceeds `threshold` are cut (power grows monotonically).
+
+    Every realization joins its two topology nodes, so a complete union is
+    connected and has a cycle iff it has as many edges as nodes. A partial
+    union with that many edges has a cycle too, which no extension loses,
+    so the test also cuts branches early."""
     per_edge = []
     for i, j in topo_edges:
         opts = realizer.options(topo_nodes[i], topo_nodes[j])
@@ -173,10 +165,12 @@ def _assemble(
     chosen: set[int] = set()
     node_max: dict[int, int] = {}
 
-    def place(level: int, power: int, parent: dict[int, int]) -> None:
+    def place(level: int, power: int) -> None:
         nonlocal best
         cap = best[0] if best is not None else threshold
         if cap is not None and power > cap:
+            return
+        if chosen and len(chosen) >= len(node_max):  # node_max keys: the union's nodes
             return
         if level == len(per_edge):
             cand = tuple(sorted(chosen))
@@ -184,37 +178,29 @@ def _assemble(
                 best = (power, cand)
             return
         for ids, _ in per_edge[level]:
-            # realizations may share edges; only new edges can close a cycle
+            # realizations may share edges: each edge joins the union once
             new_ids = [e for e in ids if e not in chosen]
-            par = dict(parent)
-            ok = True
             delta = 0
             touched: list[tuple[int, int | None]] = []
             for e in new_ids:
                 u, v, _ = edges_info[e]
                 c = weights[e]
-                ru, rv = _find(par, u), _find(par, v)
-                if ru == rv:
-                    ok = False
-                    break
-                par[ru] = rv
                 for node in (u, v):
                     cur = node_max.get(node)
                     if cur is None or c > cur:
                         touched.append((node, cur))
                         node_max[node] = c
                         delta += c - (cur if cur is not None else 0)
-            if ok:
-                chosen.update(new_ids)
-                place(level + 1, power + delta, par)
-                chosen.difference_update(new_ids)
+            chosen.update(new_ids)
+            place(level + 1, power + delta)
+            chosen.difference_update(new_ids)
             for node, prev in reversed(touched):
                 if prev is None:
                     del node_max[node]
                 else:
                     node_max[node] = prev
 
-    place(0, 0, {})
+    place(0, 0)
     return best
 
 
@@ -289,17 +275,11 @@ def _pair(eu: list, v: int) -> tuple[int, tuple[tuple[int, ...]]] | None:
 def _tree(instance: Instance, legs, Q: frozenset[int]) -> tuple[int, ...]:
     """A component's tree from its search result: the sorted edges of a
     single leg, or the union of a spider's three legs pruned to a tree,
-    which never raises power. That union is connected, so with one edge
-    fewer than its nodes it is a tree already and only its non-terminal
-    leaves need stripping."""
+    which never raises power (an acyclic union only loses its non-terminal
+    leaves)."""
     if len(legs) == 1:
         return tuple(sorted(legs[0]))
-    union = set().union(*legs)
-    edges = instance.edges
-    touched = {node for e in union for node in edges[e][:2]}
-    if len(union) == len(touched) - 1:
-        return tuple(strip_leaves(edges, union, Q))
-    return tuple(extract_tree(instance, union, Q))
+    return tuple(extract_tree(instance, set().union(*legs), Q))
 
 
 def min_power_component(instance: Instance, terminal_subset, k_cap: int = 4) -> Component:
@@ -355,13 +335,13 @@ class ColumnSet(Sequence[Component]):
 
     Per Q, in enumeration order: its members in sorted order (`members`),
     the frozenset (`sets`) and p_Q in the instance's scaled units (`powers`;
-    p_Q / `scale` is its cost). The sink only orients a column, so the
-    columns of Q are implicit: they are consecutive from `starts[i]`, one
-    per member in sorted order. Q's tree is built when a column of Q is
-    first read and then kept for every sink; until then a pair or a |Q| = 4
-    component keeps its edges and a spider its three legs. Per column, for
-    the cut rows, `masks` holds Q's terminal bitmask and `sink_bits` the
-    sink's bit; `bits` gives the i-th smallest terminal bit i.
+    p_Q / `scale` is its cost). The columns of Q are consecutive, one per
+    member in sorted order as the sink. Per column, `owner` holds the index
+    of its terminal set and `sinks` its sink; for the cut rows, `masks`
+    holds Q's terminal bitmask and `sink_bits` the sink's bit, and `bits`
+    gives the i-th smallest terminal bit i. Q's tree is built when a column
+    of Q is first read and then kept for every sink; until then a pair or a
+    |Q| = 4 component keeps its edges and a spider its three legs.
     """
 
     def __init__(self, instance: Instance):
@@ -370,10 +350,10 @@ class ColumnSet(Sequence[Component]):
         self.members: list[tuple[int, ...]] = []
         self.sets: list[frozenset[int]] = []
         self.powers: list[int] = []
-        self.starts: list[int] = []
         self._legs: list[tuple[tuple[int, ...], ...]] = []
         self._trees: dict[int, tuple[int, ...]] = {}
-        self._count = 0
+        self.owner: list[int] = []
+        self.sinks: list[int] = []
         self.bits = {t: 1 << i for i, t in enumerate(sorted(instance.terminals))}
         self.masks: list[int] = []
         self.sink_bits: list[int] = []
@@ -383,10 +363,10 @@ class ColumnSet(Sequence[Component]):
         to be built from `legs` as `_tree` does."""
         self.members.append(members)
         self.sets.append(frozenset(members))
+        self.owner += [len(self.powers)] * len(members)
+        self.sinks += members
         self.powers.append(power)
-        self.starts.append(self._count)
         self._legs.append(legs)
-        self._count += len(members)
         member_bits = [self.bits[t] for t in members]
         self.masks += [sum(member_bits)] * len(members)
         self.sink_bits += member_bits
@@ -398,9 +378,7 @@ class ColumnSet(Sequence[Component]):
 
     def column(self, j: int) -> tuple[int, int]:
         """Column j as (index of its terminal set, sink)."""
-        j = range(self._count)[j]  # bounds and negative indices as for a list
-        i = bisect_right(self.starts, j) - 1
-        return i, self.members[i][j - self.starts[i]]
+        return self.owner[j], self.sinks[j]
 
     def tree(self, i: int) -> tuple[int, ...]:
         """Edges of terminal set i's tree, built on first read."""
@@ -410,7 +388,7 @@ class ColumnSet(Sequence[Component]):
         return tree
 
     def __len__(self) -> int:
-        return self._count
+        return len(self.owner)
 
     def __getitem__(self, j: int) -> Component:
         """Column j as a `Component`, its tree built if Q's is not yet."""

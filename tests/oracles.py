@@ -8,10 +8,11 @@ must give the same results, ties included. Every oracle computes on the
 instance's Fraction costs, never on the scaled int weights the package's
 solvers use, except `irr_solve_reference`, which keeps an earlier IRR loop
 around the package's own layers, `exact_min_power_reference`, which keeps
-the earlier branch-and-bound verbatim, and `enumerate_columns_reference`
-and `solve_lp_reference`, which keep the column list of one `Component` per
-column (Q, s) and the LP that read it, on the package's searches, simplex
-and flow network.
+the earlier branch-and-bound verbatim, `component_four_reference`, which
+keeps the earlier |Q| = 4 structure guessing verbatim on the package's
+path search, and `enumerate_columns_reference` and `solve_lp_reference`,
+which keep the column list of one `Component` per column (Q, s) and the LP
+that read it, on the package's searches, simplex and flow network.
 """
 
 from __future__ import annotations
@@ -19,16 +20,16 @@ from __future__ import annotations
 import heapq
 import random
 from fractions import Fraction
-from itertools import combinations, compress
+from itertools import combinations, compress, product
 from math import ceil, comb, lcm
 from operator import not_
 
 from powertree.analysis import AnalysisError, MarkedBinaryTree
-from powertree.components import COLUMN_GUARD, Component, ComponentError, enumerate_columns, min_power_component
+from powertree.components import COLUMN_GUARD, Component, ComponentError, enumerate_columns
 from powertree.decomposition import Decomposition
 from powertree.exact import SolverError
 from powertree.graph import UnionFind, connects, rooted_children, strip_leaves
-from powertree.instance import Instance, PowerTree, evaluate
+from powertree.instance import Instance, PowerTree, edge_set_power, evaluate
 from powertree.irr import IrrError, IterationRecord, RunTrace, prune, zero_power_tree_exists
 from powertree.lp import DEFAULT_TOL, LpError, LpState, _DualSimplex, _FlowNet, solve_lp
 from powertree.pathpower import capped_state_search
@@ -734,6 +735,212 @@ def _component_pair_scaled_reference(instance: Instance, Q: frozenset[int], sear
     return Component(Q, None, tuple(sorted(best[1])), Fraction(best[0], instance.scale))
 
 
+# The |Q| = 4 structure guessing as it stood before its cycle test became an
+# edge count, kept verbatim: each realization's edges are checked by a
+# union-find copied per option.
+def _labeled_trees_reference(size: int, min_degree_from: int):
+    """Yield edge lists (index pairs) of labeled trees on `size` >= 2 nodes
+    where every node index >= min_degree_from has degree >= 3 (Pruefer
+    decoding)."""
+    for seq in product(range(size), repeat=size - 2):
+        degree = [1] * size
+        for s in seq:
+            degree[s] += 1
+        if any(degree[i] < 3 for i in range(min_degree_from, size)):
+            continue
+        deg = list(degree)
+        leaves = [i for i in range(size) if deg[i] == 1]
+        heapq.heapify(leaves)
+        edges = []
+        for s in seq:
+            leaf = heapq.heappop(leaves)
+            edges.append((min(leaf, s), max(leaf, s)))
+            deg[s] -= 1
+            if deg[s] == 1:
+                heapq.heappush(leaves, s)
+        u = heapq.heappop(leaves)
+        v = heapq.heappop(leaves)
+        edges.append((min(u, v), max(u, v)))
+        yield edges
+
+
+class _PairRealizerReference:
+    """Realization options for topology edges, shared across topologies of one
+    (Q, A) choice. An option is (edge ids, standalone scaled power) for one
+    concrete way to connect two topology nodes outside the other topology
+    nodes."""
+
+    def __init__(self, instance: Instance, topo_nodes: tuple[int, ...]):
+        self.instance = instance
+        self.topo = frozenset(topo_nodes)
+        self._edge_lookup: dict[tuple[int, int], int] = {}
+        for eid, (u, v, _) in enumerate(instance.edges):
+            self._edge_lookup[(min(u, v), max(u, v))] = eid
+        self._options: dict[tuple[int, int], list[tuple[tuple[int, ...], int]]] = {}
+        self._capped_cache: dict[tuple[int, int], dict] = {}
+
+    def _interior(self, src: int, cap: int) -> dict:
+        """Boundary-capped interior search from src avoiding topology nodes,
+        keyed by (end node, entering edge id)."""
+        key = (src, cap)
+        hit = self._capped_cache.get(key)
+        if hit is None:
+            hit = capped_state_search(self.instance, src, cap, self.topo)
+            self._capped_cache[key] = hit
+        return hit
+
+    def options(self, a: int, b: int) -> list[tuple[tuple[int, ...], int]]:
+        key = (min(a, b), max(a, b))
+        hit = self._options.get(key)
+        if hit is not None:
+            return hit
+        inst = self.instance
+        weights = inst.weights
+        found: dict[tuple[int, ...], int] = {}
+
+        direct = self._edge_lookup.get(key)
+        if direct is not None:
+            found[(direct,)] = 2 * weights[direct]
+
+        for ea in inst.adjacency[a]:
+            a2 = inst.other_end(ea, a)
+            if a2 in self.topo:
+                continue
+            cap_a = weights[ea]
+            interiors = None
+            for eb in inst.adjacency[b]:
+                b2 = inst.other_end(eb, b)
+                if b2 in self.topo:
+                    continue
+                cap_b = weights[eb]
+                if a2 == b2:
+                    ids = tuple(sorted((ea, eb)))
+                    found.setdefault(ids, edge_set_power(inst.scaled_edges(ids)))
+                    continue
+                if interiors is None:
+                    interiors = self._interior(a2, cap_a)
+                best_val = None
+                best_edges = None
+                for (node, eid), (power, _, _, path_edges) in interiors.items():
+                    if node != b2 or eid == eb:
+                        continue
+                    total = power + max(weights[eid], cap_b)
+                    if best_val is None or total < best_val or (
+                        total == best_val and path_edges < best_edges
+                    ):
+                        best_val = total
+                        best_edges = path_edges
+                if best_edges is not None:
+                    ids = tuple(sorted((ea, eb) + best_edges))
+                    found.setdefault(ids, edge_set_power(inst.scaled_edges(ids)))
+
+        result = sorted(found.items(), key=lambda kv: (kv[1], kv[0]))
+        self._options[key] = result
+        return result
+
+
+def _find_reference(par: dict[int, int], x: int) -> int:
+    while par.setdefault(x, x) != x:
+        x = par[x]
+    return x
+
+
+def _assemble_reference(
+    instance: Instance,
+    topo_nodes: tuple[int, ...],
+    topo_edges: list[tuple[int, int]],
+    realizer: _PairRealizerReference,
+    threshold: int | None,
+) -> tuple[int, tuple[int, ...]] | None:
+    """Pick one realization per topology edge, minimizing the power of the
+    union edge set; unions with cycles are discarded. Branches whose partial
+    power already exceeds `threshold` are cut (power grows monotonically)."""
+    per_edge = []
+    for i, j in topo_edges:
+        opts = realizer.options(topo_nodes[i], topo_nodes[j])
+        if not opts:
+            return None
+        per_edge.append(opts)
+
+    edges_info, weights = instance.edges, instance.weights
+    best: tuple[int, tuple[int, ...]] | None = None
+    chosen: set[int] = set()
+    node_max: dict[int, int] = {}
+
+    def place(level: int, power: int, parent: dict[int, int]) -> None:
+        nonlocal best
+        cap = best[0] if best is not None else threshold
+        if cap is not None and power > cap:
+            return
+        if level == len(per_edge):
+            cand = tuple(sorted(chosen))
+            if best is None or power < best[0] or (power == best[0] and cand < best[1]):
+                best = (power, cand)
+            return
+        for ids, _ in per_edge[level]:
+            # realizations may share edges; only new edges can close a cycle
+            new_ids = [e for e in ids if e not in chosen]
+            par = dict(parent)
+            ok = True
+            delta = 0
+            touched: list[tuple[int, int | None]] = []
+            for e in new_ids:
+                u, v, _ = edges_info[e]
+                c = weights[e]
+                ru, rv = _find_reference(par, u), _find_reference(par, v)
+                if ru == rv:
+                    ok = False
+                    break
+                par[ru] = rv
+                for node in (u, v):
+                    cur = node_max.get(node)
+                    if cur is None or c > cur:
+                        touched.append((node, cur))
+                        node_max[node] = c
+                        delta += c - (cur if cur is not None else 0)
+            if ok:
+                chosen.update(new_ids)
+                place(level + 1, power + delta, par)
+                chosen.difference_update(new_ids)
+            for node, prev in reversed(touched):
+                if prev is None:
+                    del node_max[node]
+                else:
+                    node_max[node] = prev
+
+    place(0, 0, {})
+    return best
+def _component_four_reference(instance: Instance, q_nodes: tuple[int, ...]) -> tuple[int, tuple[tuple[int, ...]]] | None:
+    """|Q| = 4 by structure guessing: the least (scaled power, sorted edges),
+    the edges as the one leg; None if Q cannot be connected."""
+    nonterms = [x for x in range(instance.node_count) if x not in q_nodes]
+    best: tuple[int, tuple[int, ...]] | None = None
+    for a_size in range(0, len(q_nodes) - 1):
+        # the topologies depend only on |A|: decode them once per size
+        topologies = list(_labeled_trees_reference(len(q_nodes) + a_size, len(q_nodes)))
+        for A in combinations(nonterms, a_size):
+            topo_nodes = q_nodes + A
+            realizer = _PairRealizerReference(instance, topo_nodes)
+            for topo_edges in topologies:
+                got = _assemble_reference(
+                    instance, topo_nodes, topo_edges, realizer,
+                    None if best is None else best[0],
+                )
+                if got is None:
+                    continue
+                if best is None or got[0] < best[0] or (got[0] == best[0] and got[1] < best[1]):
+                    best = got
+    return None if best is None else (best[0], (best[1],))
+
+
+def component_four_reference(instance: Instance, Q: frozenset[int]) -> Component:
+    """|Q| = 4 by the structure guessing above, its edges sorted."""
+    best = _component_four_reference(instance, tuple(sorted(Q)))
+    if best is None:
+        raise ComponentError(f"terminals {sorted(Q)} cannot be connected")
+    return Component(Q, None, tuple(sorted(best[1][0])), Fraction(best[0], instance.scale))
+
+
 def enumerate_columns_reference(instance: Instance, k: int) -> list[Component]:
     """The column enumeration that built one Component per column (Q, s),
     every tree pruned up front; kept verbatim on the package's searches."""
@@ -755,7 +962,7 @@ def enumerate_columns_reference(instance: Instance, k: int) -> list[Component]:
                 elif size == 3:
                     comp = _component_three_scaled_reference(instance, Q, searches)
                 else:
-                    comp = min_power_component(instance, Q, k_cap=k)
+                    comp = component_four_reference(instance, Q)
             except ComponentError:
                 continue
             columns.extend(Component(Q, s, comp.edges, comp.power) for s in subset)

@@ -158,6 +158,9 @@ def test_config_errors():
         ("reps = -1", "line 1: reps must be >= 1"),
         ("seed = abc", "line 1: seed must be an integer"),
         ("k = 3.5", "line 1: k must be an integer"),
+        ("k = 9", r"line 1: k must be in \[2, 4\], got 9"),
+        ("k = 1", r"line 1: k must be in \[2, 4\], got 1"),
+        ("max_iters = 0", "line 1: max_iters must be >= 1"),
     ]:
         with pytest.raises(BenchError, match=message):
             parse_config(line + "\n" + body)

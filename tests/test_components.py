@@ -1,11 +1,13 @@
 import random
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
 
 import powertree.components as components_module
 from oracles import (
     all_cut_rows,
+    component_four_reference,
     component_three_reference,
     enumerate_columns_reference,
     min_power_tree_bruteforce,
@@ -113,6 +115,39 @@ def test_component_three_matches_reference():
     assert checked >= 400
 
 
+def four_set_cases():
+    """Every generator kind with 0/30/60/90% of its costs zeroed, then dense
+    graphs, where realizations that close cycles are common."""
+    for kind in GENERATOR_KINDS:
+        for fraction in (0, 0.3, 0.6, 0.9):
+            for s in range(2):
+                if kind == "reduction-wrapped":
+                    nodes, terms = 4, 4
+                elif kind == "euclidean-powerlaw":
+                    nodes, terms = 6 + s, 5
+                else:
+                    nodes, terms = 7 + s, 4 + s
+                inst = generate(kind, nodes, terms, 19_000 + s, edge_prob=0.5, cost_max=3)
+                yield (kind, fraction, s), zero_costs(inst, fraction, s)
+    for kind, nodes, terms in (("euclidean-powerlaw", 9, 5), ("euclidean-powerlaw", 10, 4),
+                               ("uniform-random", 10, 5), ("uniform-random", 12, 4),
+                               ("two-level", 10, 5), ("two-level", 12, 4)):
+        yield (kind, nodes), generate(kind, nodes, terms, 19_100 + nodes, edge_prob=0.5)
+
+
+def test_component_four_matches_reference():
+    # the edge-count cycle test must accept exactly the unions the
+    # union-find accepted, so edges and power agree, ties included
+    checked = 0
+    for case, inst in four_set_cases():
+        for Q in combinations(sorted(inst.terminals), 4):
+            comp = min_power_component(inst, Q, 4)
+            want = component_four_reference(inst, frozenset(Q))
+            assert (comp.edges, comp.power) == (want.edges, want.power), (case, Q)
+            checked += 1
+    assert checked >= 100
+
+
 def test_component_at_least_cheapest_pair():
     for seed in range(40):
         rng = random.Random(7000 + seed)
@@ -213,17 +248,15 @@ def test_column_set_matches_reference():
 
 
 def counting_tree_builds(monkeypatch) -> list[str]:
-    """Log of every `extract_tree` and `strip_leaves` call made by the
-    components module."""
+    """Log of every `extract_tree` call made by the components module."""
     calls: list[str] = []
-    for name in ("extract_tree", "strip_leaves"):
-        real = getattr(components_module, name)
+    real = components_module.extract_tree
 
-        def counted(*args, _name=name, _real=real, **kwargs):
-            calls.append(_name)
-            return _real(*args, **kwargs)
+    def counted(*args, **kwargs):
+        calls.append("extract_tree")
+        return real(*args, **kwargs)
 
-        monkeypatch.setattr(components_module, name, counted)
+    monkeypatch.setattr(components_module, "extract_tree", counted)
     return calls
 
 
@@ -235,14 +268,28 @@ def test_trees_built_on_first_read(monkeypatch):
     spiders = [i for i, members in enumerate(cols.members) if len(members) == 3]
     assert len(spiders) == 20
     for i in spiders:
-        start = cols.starts[i]
+        start = cols.owner.index(i)
         before = len(calls)
         first, second = cols[start], cols[start + 1]
         assert len(calls) == before + 1
         assert (first.sink, second.sink) == cols.members[i][:2]
         assert first.edges == second.edges and first.power == second.power
-    pairs = [cols[cols.starts[i]] for i, members in enumerate(cols.members) if len(members) == 2]
+    pairs = [cols[cols.owner.index(i)] for i, members in enumerate(cols.members) if len(members) == 2]
     assert len(pairs) == 15 and len(calls) == 20
+
+
+def test_columns_index_as_a_list():
+    inst = generate("uniform-random", 7, 5, 18_300, edge_prob=0.4, cost_max=5)
+    cols = enumerate_columns(inst, 3)
+    last = cols[len(cols) - 1]
+    i, sink = cols.column(-1)
+    assert (cols.sets[i], sink) == (last.terminal_set, last.sink)
+    assert cols[-1] == last and cols[-len(cols)] == cols[0]
+    with pytest.raises(IndexError):
+        cols[len(cols)]
+    with pytest.raises(IndexError):
+        cols.column(-len(cols) - 1)
+    assert list(cols) == [cols[j] for j in range(len(cols))]
 
 
 def test_irr_builds_at_most_one_tree_per_iteration(monkeypatch):

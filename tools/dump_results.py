@@ -17,8 +17,11 @@ total cost and node powers. Records:
              perfbench irr workload in its mode, and on the 100 reduced
              instances of acceptance criterion 2 (up to 31 nodes)
   extract    extract_tree on random edge subsets, raising calls included
-  columns    enumerate_columns at k=4 (edges and power per column), and at
-             k=3 on the inputs of
+  columns    enumerate_columns at k=4 (edges and power per column), also
+             on dense graphs (euclidean-powerlaw n=9-10, uniform-random and
+             two-level n=10-12 at edge_prob 0.5, with 0% and 50% of their
+             costs zeroed), where |Q| = 4 realizations often close cycles;
+             and at k=3 on the inputs of
              tests/test_components.py::test_component_three_matches_reference,
              each generator kind with 0/30/60/90% of its costs zeroed, where
              equal-power spiders are common
@@ -300,6 +303,16 @@ def main(src: str) -> None:
         state = pt.solve_lp(inst, pt.enumerate_columns(inst, 3))
         emit("lp", [kind, s], [[sorted(r) for r in state.rows], sorted(state.x.items()),
                                list(state.objective_history)])
+    for kind, nodes, terms in (("euclidean-powerlaw", 9, 5), ("euclidean-powerlaw", 10, 4),
+                               ("uniform-random", 10, 5), ("uniform-random", 12, 4),
+                               ("two-level", 10, 5), ("two-level", 12, 4)):
+        base = pt.generate(kind, nodes, terms, 20_000 + nodes, edge_prob=0.5)
+        for fraction in (0, 0.5):
+            zeroing = random.Random(nodes)
+            inst = base.with_costs([0 if zeroing.random() < fraction else c for _, _, c in base.edges])
+            cols = pt.enumerate_columns(inst, 4)
+            emit("columns", ["dense", kind, nodes, fraction],
+                 [[sorted(c.terminal_set), c.sink, list(c.edges), str(c.power)] for c in cols])
     for kind in GENERATOR_KINDS:
         for fraction in (0, 0.3, 0.6, 0.9):
             for s in range(5):
