@@ -1,4 +1,4 @@
-"""Batch benchmark harness: seeded suites, CSV report, work pool.
+"""Batch benchmark harness: seeded suites and their CSV report.
 
 Config files are line oriented ('#' comments): `key = value` settings plus
 repeated `instance` and `solver` stanzas, e.g.
@@ -13,9 +13,12 @@ repeated `instance` and `solver` stanzas, e.g.
     solver mst
     solver irr
 
-Per-row seeds derive from sha256(master seed, row index), so pool
-parallelism never changes results. The wall_time_s column is the only
-non-reproducible one and is excluded from golden comparisons.
+Rows run one after another on the calling thread, in config order (each
+instance, each solver, each rep). Under the interpreter lock a thread pool
+only added waits, so `threads` is parsed and bounds-checked for existing
+suite files but selects nothing. Per-row seeds derive from sha256(master
+seed, row index). The wall_time_s column is the only non-reproducible one
+and is excluded from golden comparisons.
 """
 
 from __future__ import annotations
@@ -24,9 +27,9 @@ import csv
 import hashlib
 import io
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
 
 from .analysis import theoretical_factor
 from .exact import baseline_min_cost, exact_min_power
@@ -42,7 +45,8 @@ CSV_HEADER = [
 SCHEMA = "powertree-bench-v1"
 
 KNOWN_SOLVERS = ("exact", "mst", "steiner-cost", "irr")
-# most pool threads, and most rows (instances x solvers x reps) in one suite
+# the largest `threads` a suite may give, and most rows (instances x solvers
+# x reps) in one suite
 MAX_THREADS = 64
 MAX_ROWS = 10_000
 
@@ -58,7 +62,7 @@ class SuiteConfig:
     k: int = 3
     mode: str = "steiner"
     max_iters: int | None = None
-    threads: int = 4
+    threads: int = 4  # accepted and bounds-checked; rows always run on the calling thread
     instances: list[tuple[str, str]] = field(default_factory=list)  # (label, spec)
     solvers: list[str] = field(default_factory=list)
 
@@ -115,18 +119,24 @@ def _load_instance(spec: str, mode: str) -> Instance:
             inst = parse_instance(fh.read())
     elif spec.startswith("gen:"):
         body = spec[len("gen:"):].split()
-        kind = body[0]
+        if not body:
+            raise BenchError(f"instance {spec!r} names no generator kind")
+        kind, *params = body
         kwargs: dict = {}
-        for item in body[1:]:
+        for item in params:
             key, _, value = item.partition("=")
-            if key in ("nodes", "terminals", "seed", "cost_max", "exponent", "grid"):
-                kwargs[key] = int(value)
-            elif key in ("edge_prob",):
-                kwargs[key] = float(value)
-            elif key in ("low", "high"):
-                kwargs[key] = parse_cost(value)
+            if key in ("low", "high"):
+                kwargs[key] = parse_cost(value)  # its InstanceError names the cost
+            elif key in ("nodes", "terminals", "seed", "cost_max", "exponent", "grid", "edge_prob"):
+                try:
+                    kwargs[key] = float(value) if key == "edge_prob" else int(value)
+                except ValueError:
+                    raise BenchError(f"instance {spec!r}: bad {key} value {value!r}") from None
             else:
-                raise BenchError(f"unknown generator parameter {key!r}")
+                raise BenchError(f"instance {spec!r}: unknown generator parameter {key!r}")
+        missing = [key for key in ("nodes", "terminals", "seed") if key not in kwargs]
+        if missing:
+            raise BenchError(f"instance {spec!r} lacks generator parameter {', '.join(missing)}")
         inst = generate(kind, **kwargs)
     else:
         raise BenchError(f"instance spec must start with file: or gen:, got {spec!r}")
@@ -166,23 +176,15 @@ def run_bench(cfg: SuiteConfig) -> str:
     """Execute the suite and return the CSV report text."""
     instances = [(label, _load_instance(spec, cfg.mode)) for label, spec in cfg.instances]
 
-    rows: list[dict] = []
-    for label, inst in instances:
-        for solver in cfg.solvers:
-            for rep in range(cfg.reps):
-                rows.append({"instance": label, "inst_obj": inst, "solver": solver, "rep": rep})
-    for idx, row in enumerate(rows):
-        row["seed"] = derive_seed(cfg.seed, idx)
-
-    def work(row: dict) -> tuple[dict, Fraction | None]:
-        """The row's CSV record, and its power when the solver succeeded."""
+    solved: list[tuple[dict, Fraction | None]] = []  # each row's CSV record, and its power when it solved
+    for idx, ((label, inst), solver, _) in enumerate(product(instances, cfg.solvers, range(cfg.reps))):
+        seed = derive_seed(cfg.seed, idx)
         out = dict.fromkeys(CSV_HEADER, "")
-        out.update(schema=SCHEMA, row_type="row", instance=row["instance"],
-                   solver=row["solver"], seed=str(row["seed"]))
+        out.update(schema=SCHEMA, row_type="row", instance=label, solver=solver, seed=str(seed))
         power = None
         start = time.perf_counter()
         try:
-            tree, trace = run_solver(row["inst_obj"], row["solver"], cfg.mode, cfg.k, row["seed"], cfg.max_iters)
+            tree, trace = run_solver(inst, solver, cfg.mode, cfg.k, seed, cfg.max_iters)
             out["power"] = format_cost(tree.total_power)
             out["cost"] = format_cost(tree.total_cost)
             out["iterations"] = str(trace.iterations) if trace else ""
@@ -190,10 +192,7 @@ def run_bench(cfg: SuiteConfig) -> str:
         except Exception as exc:  # row-level failures never abort the suite
             out["error"] = f"{type(exc).__name__}: {exc}"
         out["wall_time_s"] = f"{time.perf_counter() - start:.4f}"
-        return out, power
-
-    with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-        solved = list(pool.map(work, rows))
+        solved.append((out, power))
 
     # the exact solver is deterministic: every rep of an instance has the same optimum
     exact_power = {out["instance"]: power for out, power in solved

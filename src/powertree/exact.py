@@ -226,18 +226,16 @@ def _dreyfus_wagner(instance: Instance) -> list[int]:
         raise SolverError("terminals are disconnected")
 
     edges: set[int] = set()
-
-    def reconstruct(mask: int, v: int) -> None:
+    stack = [(full, target)]
+    while stack:
+        mask, v = stack.pop()
         while pred[mask][v] is not None:
             eid = pred[mask][v]
             edges.add(eid)
             v = instance.other_end(eid, v)
         sub = split[mask][v]
         if sub is not None:
-            reconstruct(sub, v)
-            reconstruct(mask ^ sub, v)
-
-    reconstruct(full, target)
+            stack += ((sub, v), (mask ^ sub, v))
     return _terminal_tree(instance, edges)
 
 

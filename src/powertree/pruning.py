@@ -20,15 +20,16 @@ def extract_tree(instance: Instance, edge_ids, required: frozenset[int]) -> list
     leaves. The result's power never exceeds the input edge set's power.
     """
     current = set(edge_ids)
-    # (u, v, weight) per edge: powers are compared in the instance's scaled ints
-    scaled = dict(zip(current, instance.scaled_edges(current)))
     # Deleting a non-bridge keeps the node set and the components, so the
     # deletions needed for acyclicity number the unions that close a cycle.
     uf = UnionFind(instance.node_count)
-    surplus = sum(not uf.union(u, v) for u, v, _ in scaled.values())
+    surplus = sum(not uf.union(*instance.edges[e][:2]) for e in current)
     if not uf.joins(required):
         raise ValueError("edge set does not connect the required nodes")
 
+    if surplus:
+        # (u, v, weight) per edge: powers are compared in the instance's scaled ints
+        scaled = dict(zip(current, instance.scaled_edges(current)))
     for _ in range(surplus):
         power = edge_set_power(scaled[e] for e in current)
         best = None

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import re
+import threading
 import time
 
 import pytest
@@ -142,8 +143,28 @@ def test_bench_ratio_past_float_range_is_inf(tmp_path):
 
 def test_bench_thread_count_changes_no_row():
     one = strip_wall_time(run_bench(parse_config(ORACLE_SUITE + "threads = 1\n")))
-    three = strip_wall_time(run_bench(parse_config(ORACLE_SUITE + "threads = 3\n")))
-    assert one == three
+    for threads in ("", "threads = 3\n", "threads = 64\n"):
+        assert strip_wall_time(run_bench(parse_config(ORACLE_SUITE + threads))) == one
+
+
+def test_bench_rows_run_in_order_on_calling_thread(monkeypatch):
+    import powertree.bench
+
+    calls = []
+    real = powertree.bench.run_solver
+
+    def recording(instance, solver, mode, k, seed, max_iters):
+        calls.append((threading.get_ident(), instance.node_count, solver, seed))
+        return real(instance, solver, mode, k, seed, max_iters)
+
+    monkeypatch.setattr("powertree.bench.run_solver", recording)
+    cfg = parse_config(ORACLE_SUITE + "threads = 4\n")
+    rows = [r for r in report_rows(run_bench(cfg)) if r["row_type"] == "row"]
+    assert {ident for ident, *_ in calls} == {threading.get_ident()}
+    nodes = [7, 8]  # node counts of ORACLE_SUITE's two instances
+    want = [(nodes[i // 9], ["exact", "mst", "steiner-cost"][i // 3 % 3], derive_seed(3, i)) for i in range(18)]
+    assert [call[1:] for call in calls] == want
+    assert [(r["solver"], int(r["seed"])) for r in rows] == [(solver, seed) for _, solver, seed in want]
 
 
 def test_config_errors():
@@ -328,6 +349,20 @@ def test_bench_huge_two_level_cost_exits_1(tmp_path, capsys):
     assert time.perf_counter() - start < 1.0
     err = json.loads(capsys.readouterr().err)
     assert err["type"] == "InstanceError" and "digits" in err["error"]
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("gen:", "names no generator kind"),
+    ("gen:uniform-random nodes=abc terminals=3 seed=1", "bad nodes value 'abc'"),
+    ("gen:uniform-random nodes=6 terminals=3 seed=1 edge_prob", "bad edge_prob value ''"),
+    ("gen:uniform-random nodes=6 seed=1", "lacks generator parameter terminals"),
+])
+def test_bench_malformed_gen_spec_exits_1(tmp_path, capsys, spec, message):
+    cfg = tmp_path / "suite.cfg"
+    cfg.write_text(f"instance {spec}\nsolver mst\n")
+    assert main(["bench", str(cfg), "--out", str(tmp_path / "r.csv")]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["type"] == "BenchError" and spec in err["error"] and message in err["error"]
 
 
 def test_cli_decompose_and_analyze(tmp_path, capsys):

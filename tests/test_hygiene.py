@@ -61,8 +61,6 @@ RECURSIVE_ALLOWED = {
     # one level per decided edge: at most the edge count of an instance
     # within `node_guard` nodes
     "exact_min_power.recurse",
-    # each call splits its terminal mask: one level per terminal, at most 12
-    "_dreyfus_wagner.reconstruct",
     # one nested call: `reduction-wrapped` generates its uniform-random base
     "generate",
 }

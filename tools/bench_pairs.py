@@ -9,10 +9,19 @@ runs the command of BENCHMARK.json with `--trace 0` and its `run_seconds` once
 in each tree, per workload and seed; the side that runs first alternates from
 pair to pair. Nothing under `perfbench/` is changed. The output holds, per
 workload, seed and end-to-end metric, both medians, the base's quartile
-distance, the change over the base median, and every run; per side the
-failed and attempted solve counts of each run; and the benchmark's machine
-note. A run whose command fails is kept as an error and counted in
+distance, the change over the base median, a verdict, and every run; per
+side the failed and attempted solve counts of each run; and the benchmark's
+machine note. A run whose command fails is kept as an error and counted in
 `run_errors`.
+
+The verdict applies the no-regression rule to one metric on one workload and
+seed, with the metric's bound taken relative to the base median:
+
+  worse       the change median is worse than the base median by more than
+              the bound
+  unresolved  the base runs' quartile distance exceeds the bound, and not
+              every change run beats every base run
+  ok          otherwise
 """
 
 from __future__ import annotations
@@ -68,6 +77,18 @@ def quartile_distance(values: list[float]) -> float:
     return q3 - q1
 
 
+def verdict(base_runs: list[float], change_runs: list[float], better: str, bound: float) -> str:
+    """`worse`, `unresolved` or `ok` by the rule in the module docstring."""
+    sign = 1 if better == "higher" else -1  # sign * value grows as the metric improves
+    base = statistics.median(base_runs)
+    if sign * (base - statistics.median(change_runs)) > bound * abs(base):
+        return "worse"
+    beats_every_base_run = min(sign * v for v in change_runs) > max(sign * v for v in base_runs)
+    if quartile_distance(base_runs) > bound * abs(base) and not beats_every_base_run:
+        return "unresolved"
+    return "ok"
+
+
 def summarize(runs: dict[str, list[dict]], metrics: list[dict]) -> dict:
     """Medians, spread and every value per metric, and solve counts per side."""
     ok = {side: [r["result"] for r in runs[side] if "result" in r] for side in SIDES}
@@ -79,7 +100,8 @@ def summarize(runs: dict[str, list[dict]], metrics: list[dict]) -> dict:
             base, change = (statistics.median(values[side]) for side in SIDES)
             entry.update(base_median=base, change_median=change,
                          base_quartile_distance=quartile_distance(values["base"]),
-                         change_vs_base=(change - base) / base if base else None)
+                         change_vs_base=(change - base) / base if base else None,
+                         verdict=verdict(values["base"], values["change"], m["better"], m["bound"]))
         entry.update({side + "_runs": values[side] for side in SIDES})
         out["metrics"][m["name"]] = entry
     for side in SIDES:
@@ -140,7 +162,7 @@ def main(argv: list[str] | None = None) -> int:
                     spread = m["base_quartile_distance"] / m["base_median"] if m["base_median"] else 0.0
                     change = f"{m['change_vs_base']:+.1%}" if m["change_vs_base"] is not None else "n/a"
                     print(f"{w:15} seed {s} {name:13} base {m['base_median']:.4g} change {m['change_median']:.4g} "
-                          f"({change}; base quartile distance {spread:.1%})")
+                          f"({change}; base quartile distance {spread:.1%}): {m['verdict']}")
     print(f"wrote {path}")
     return 0
 

@@ -34,7 +34,7 @@ total cost and node powers. Records:
              (k=3) in both modes
   lp         solve_lp rows, x and objective history
   bench      bench-oracle suite CSVs without the wall_time_s column, on its
-             own pool and at threads = 1, a suite whose exact rows raise, and
+             own config and at threads = 1, a suite whose exact rows raise, and
              one whose mst row's ratio to exact is past float range (written
              as inf)
   analysis   on 150 seeds of three tree families (random full components,
