@@ -6,6 +6,8 @@ enumerate candidate branch nodes A (non-terminals of degree >= 3, at most
 every topology edge by a boundary edge on each side joined through a
 boundary-capped min-power path whose interior avoids all topology nodes.
 Realizations whose union contains a cycle are discarded, not repaired.
+The topologies for |Q| = 4 are decoded once per process, per |A|, on the
+first |Q| = 4 query (`_topologies`), and kept as immutable tuples.
 
 Every search adds and compares the instance's scaled int weights. The LP
 columns are one `ColumnSet`, which keeps p_Q as a scaled int per terminal
@@ -18,6 +20,7 @@ import heapq
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, product
 from math import comb
 
@@ -66,6 +69,14 @@ def _labeled_trees(size: int, min_degree_from: int):
         v = heapq.heappop(leaves)
         edges.append((min(u, v), max(u, v)))
         yield edges
+
+
+@cache
+def _topologies(a_size: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The labeled trees on 4 terminals and `a_size` Steiner nodes of degree
+    >= 3, in `_labeled_trees` order: decoded on the first |Q| = 4 query of
+    each size and kept for the process."""
+    return tuple(tuple(t) for t in _labeled_trees(4 + a_size, 4))
 
 
 class _PairRealizer:
@@ -141,7 +152,7 @@ class _PairRealizer:
 def _assemble(
     instance: Instance,
     topo_nodes: tuple[int, ...],
-    topo_edges: list[tuple[int, int]],
+    topo_edges: Sequence[tuple[int, int]],
     realizer: _PairRealizer,
     threshold: int | None,
 ) -> tuple[int, tuple[int, ...]] | None:
@@ -312,13 +323,11 @@ def _component_four(instance: Instance, q_nodes: tuple[int, ...]) -> tuple[int, 
     the edges as the one leg; None if Q cannot be connected."""
     nonterms = [x for x in range(instance.node_count) if x not in q_nodes]
     best: tuple[int, tuple[int, ...]] | None = None
-    for a_size in range(0, len(q_nodes) - 1):
-        # the topologies depend only on |A|: decode them once per size
-        topologies = list(_labeled_trees(len(q_nodes) + a_size, len(q_nodes)))
+    for a_size in range(3):  # |A| <= |Q| - 2
         for A in combinations(nonterms, a_size):
             topo_nodes = q_nodes + A
             realizer = _PairRealizer(instance, topo_nodes)
-            for topo_edges in topologies:
+            for topo_edges in _topologies(a_size):
                 got = _assemble(
                     instance, topo_nodes, topo_edges, realizer,
                     None if best is None else best[0],

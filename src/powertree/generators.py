@@ -61,7 +61,8 @@ def generate(
       reduction-wrapped   uniform-random instance passed through the 3-path
                           min-cost -> min-power reduction
 
-    Parameters that would need more than `MAX_EDGES` node pairs, costs past
+    An `edge_prob` outside [0, 1] (NaN included) for a kind that reads it,
+    parameters that would need more than `MAX_EDGES` node pairs, costs past
     float range or `MAX_COST_DIGITS` digits, or an empty cost or point range
     raise InstanceError before any work; so does a reduction past `MAX_NODES`
     nodes or `MAX_EDGES` edges, and a result whose powers could not print
@@ -69,6 +70,8 @@ def generate(
     """
     if kind not in GENERATOR_KINDS:
         raise InstanceError(f"unknown generator kind {kind!r}")
+    if kind != "euclidean-powerlaw" and not 0 <= edge_prob <= 1:
+        raise InstanceError(f"edge_prob must be in [0, 1], got {edge_prob}")
     if nodes * (nodes - 1) // 2 > MAX_EDGES:
         raise InstanceError(f"{nodes} nodes have more than {MAX_EDGES} node pairs")
     rng = random.Random(seed)

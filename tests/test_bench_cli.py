@@ -323,6 +323,16 @@ def test_cli_gen_bad_parameter_exits_1(capsys):
     assert err["type"] == "InstanceError" and "node pairs" in err["error"]
 
 
+@pytest.mark.parametrize("edge_prob", ["2", "nan", "-0.1"])
+def test_cli_gen_edge_prob_outside_unit_interval_exits_1(tmp_path, capsys, edge_prob):
+    out = tmp_path / "g.mpst"
+    assert main(["gen", "--kind", "uniform-random", "--nodes", "5", "--terminals", "3",
+                 "--seed", "1", "--edge-prob", edge_prob, "-o", str(out)]) == 1
+    assert not out.exists()
+    err = json.loads(capsys.readouterr().err)
+    assert err["type"] == "InstanceError" and "edge_prob must be in [0, 1]" in err["error"]
+
+
 def test_cli_gen_reduction_past_file_limits_exits_1(capsys):
     start = time.perf_counter()
     assert main(["gen", "--kind", "reduction-wrapped", "--nodes", "320", "--terminals", "3",

@@ -6,6 +6,7 @@ import pytest
 
 import powertree.components as components_module
 from oracles import (
+    _labeled_trees_reference,
     all_cut_rows,
     component_four_reference,
     component_three_reference,
@@ -304,8 +305,9 @@ def test_irr_builds_at_most_one_tree_per_iteration(monkeypatch):
     assert 0 < len(calls) <= iterations
 
 
-def test_topologies_decoded_once_per_steiner_set_size(monkeypatch):
-    # the labeled trees depend only on |A|, so |A| = 0, 1, 2 decode once each
+def test_topologies_decoded_once_per_process(monkeypatch):
+    # the labeled trees depend only on |A|: |A| = 0, 1, 2 decode once each,
+    # however many instances and 4-sets ask for them
     calls: list[tuple[int, int]] = []
     real = components_module._labeled_trees
 
@@ -314,7 +316,20 @@ def test_topologies_decoded_once_per_steiner_set_size(monkeypatch):
         return real(size, min_degree_from)
 
     monkeypatch.setattr(components_module, "_labeled_trees", counted)
-    inst = generate("uniform-random", 8, 4, 18_400, edge_prob=0.3)
-    assert inst.node_count == 8
-    min_power_component(inst, inst.terminals, 4)
+    components_module._topologies.cache_clear()
+    first = generate("uniform-random", 8, 4, 18_400, edge_prob=0.3)
+    second = generate("uniform-random", 9, 5, 77, edge_prob=0.4)
+    min_power_component(first, first.terminals, 4)
     assert calls == [(4, 4), (5, 4), (6, 4)]
+    for subset in list(combinations(sorted(second.terminals), 4))[:2]:
+        min_power_component(second, subset, 4)
+    assert calls == [(4, 4), (5, 4), (6, 4)]
+
+
+def test_topology_table_matches_reference():
+    # 16, 13 and 6 topologies for |A| = 0, 1, 2, in Pruefer decode order
+    for a_size, count in enumerate((16, 13, 6)):
+        table = components_module._topologies(a_size)
+        assert table == tuple(tuple(t) for t in _labeled_trees_reference(4 + a_size, 4))
+        assert len(table) == count
+        assert all(type(t) is tuple and all(type(e) is tuple for e in t) for t in table)

@@ -340,6 +340,23 @@ def test_generator_parameter_limits(kind, params, pattern):
     assert time.perf_counter() - start < 1.0
 
 
+@pytest.mark.parametrize("kind", ["uniform-random", "two-level", "reduction-wrapped"])
+@pytest.mark.parametrize("edge_prob", [1.0000001, -0.5, float("nan")])
+def test_generator_edge_prob_outside_unit_interval(kind, edge_prob):
+    with pytest.raises(InstanceError, match=r"edge_prob must be in \[0, 1\]"):
+        generate(kind, 6, 3, 1, edge_prob=edge_prob)
+
+
+def test_generator_edge_prob_bounds_accepted():
+    for kind in ("uniform-random", "two-level", "reduction-wrapped"):
+        sparse = generate(kind, 6, 3, 1, edge_prob=0)
+        dense = generate(kind, 6, 3, 1, edge_prob=1)
+        assert len(sparse.edges) < len(dense.edges)
+    assert len(generate("uniform-random", 6, 3, 1, edge_prob=1).edges) == 15
+    # euclidean-powerlaw is complete and never reads edge_prob
+    assert generate("euclidean-powerlaw", 6, 3, 1, edge_prob=2) == generate("euclidean-powerlaw", 6, 3, 1)
+
+
 def test_generator_node_pair_limit():
     for kind in ("uniform-random", "euclidean-powerlaw", "two-level", "reduction-wrapped"):
         start = time.perf_counter()

@@ -2,11 +2,13 @@
 pairs, and write both sides' runs and medians to BENCH_<label>.json.
 
 usage: python tools/bench_pairs.py LABEL [--base REV] [--pairs N] [--seed S ...]
+                                   [--workload NAME ...]
 
 The base commit (default HEAD, the parent of uncommitted work) is exported
 with `git archive` into the git-ignored `.bench_build/<commit>/`. Each pair
 runs the command of BENCHMARK.json with `--trace 0` and its `run_seconds` once
-in each tree, per workload and seed; the side that runs first alternates from
+in each tree, per workload and seed (every workload of BENCHMARK.json unless
+`--workload` names some); the side that runs first alternates from
 pair to pair. Nothing under `perfbench/` is changed. The output holds, per
 workload, seed and end-to-end metric, both medians, the base's quartile
 distance, the change over the base median, a verdict, and every run; per
@@ -117,6 +119,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--base", default="HEAD", help="commit to compare the working tree against")
     parser.add_argument("--pairs", type=int, default=5)
     parser.add_argument("--seed", type=int, action="append", help="benchmark seed (repeatable; default 1)")
+    parser.add_argument("--workload", action="append",
+                        help="workload to run (repeatable; default every workload of BENCHMARK.json)")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")
@@ -125,6 +129,11 @@ def main(argv: list[str] | None = None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     command = [sys.executable if word in ("python", "python3") else word for word in spec["command"]]
     workloads = [w["name"] for w in spec["workloads"]]
+    unknown = sorted(set(args.workload or ()) - set(workloads))
+    if unknown:
+        parser.error(f"unknown workload {', '.join(unknown)}; BENCHMARK.json has {', '.join(workloads)}")
+    if args.workload:
+        workloads = [w for w in workloads if w in args.workload]
     commit, base_tree = export(args.base)
     trees = {"base": base_tree, "change": ROOT}
 
