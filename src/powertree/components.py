@@ -107,11 +107,12 @@ class _PairRealizer:
         if hit is not None:
             return hit
         inst = self.instance
-        weights = inst.weights
+        edges, weights = inst.edges, inst.weights
         found: dict[tuple[int, ...], int] = {}
 
         for ea in inst.adjacency[a]:
-            a2 = inst.other_end(ea, a)
+            u, v, _ = edges[ea]
+            a2 = v if u == a else u
             if a2 in self.topo:
                 if a2 == b:  # the direct edge
                     found[(ea,)] = 2 * weights[ea]
@@ -119,7 +120,8 @@ class _PairRealizer:
             cap_a = weights[ea]
             interiors = None
             for eb in inst.adjacency[b]:
-                b2 = inst.other_end(eb, b)
+                u, v, _ = edges[eb]
+                b2 = v if u == b else u
                 if b2 in self.topo:
                     continue
                 cap_b = weights[eb]

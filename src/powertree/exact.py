@@ -43,7 +43,10 @@ def exact_min_power(instance: Instance, mode: str = "steiner", node_guard: int =
         raise SolverError("required nodes are disconnected")
 
     edges, weights, adjacency = instance.edges, instance.weights, instance.adjacency
-    m = len(edges)
+    n = instance.node_count
+    ends = [(u, v) for u, v, _ in edges]
+    is_required = [x in required for x in range(n)]
+    n_required = len(required)
     root = instance.root
 
     # the first descent always takes the cheapest crossing edge (Prim's tree),
@@ -51,25 +54,20 @@ def exact_min_power(instance: Instance, mode: str = "steiner", node_guard: int =
     best_power: int | None = None
     best_edges: tuple[int, ...] = ()
 
-    in_tree = [False] * instance.node_count
+    in_tree = [False] * n
     in_tree[root] = True
-    node_max: dict[int, int] = {root: 0}
-    banned = [False] * m
+    node_max = [0] * n  # read only for nodes in the tree
+    banned = [False] * len(edges)
 
-    def lower_bound(power: int) -> int:
-        extra = 0
-        for t in required:
-            if in_tree[t]:
-                continue
-            cheapest = None
-            for eid in adjacency[t]:
-                if banned[eid]:
-                    continue
-                c = weights[eid]
-                if cheapest is None or c < cheapest:
-                    cheapest = c
-            extra += cheapest
-        return power + extra
+    def cheapest(x: int) -> int | None:
+        """The cheapest unbanned weight incident to x."""
+        return min((weights[eid] for eid in adjacency[x] if not banned[eid]), default=None)
+
+    # The lower bound adds to a branch's power the cheapest unbanned incident
+    # weight of each required node outside the tree: `extra` below, kept
+    # with `cheap`, which holds that weight for every node outside the tree.
+    # A ban changes only the cheap entry of its outer node.
+    cheap = [cheapest(x) for x in range(n)]
 
     def still_joined(outer: int) -> bool:
         """The invariant after banning an edge from the tree to `outer`: either
@@ -82,7 +80,7 @@ def exact_min_power(instance: Instance, mode: str = "steiner", node_guard: int =
             for eid in adjacency[x]:
                 if banned[eid]:
                     continue
-                u, v, _ = edges[eid]
+                u, v = ends[eid]
                 y = v if u == x else u
                 if in_tree[y]:
                     return True
@@ -91,36 +89,36 @@ def exact_min_power(instance: Instance, mode: str = "steiner", node_guard: int =
                     stack.append(y)
         return required.isdisjoint(seen)
 
-    order = sorted(range(m), key=lambda e: (weights[e], e))
+    order = [(eid, *ends[eid]) for eid in sorted(range(len(edges)), key=lambda e: (weights[e], e))]
     selected: list[int] = []
 
-    def recurse(power: int, covered: int) -> None:
+    def recurse(power: int, covered: int, extra: int) -> None:
         nonlocal best_power, best_edges
-        if covered == len(required):
+        if covered == n_required:
             if best_power is None or power < best_power:
                 best_power = power
                 best_edges = tuple(selected)
             return
-        if best_power is not None and lower_bound(power) >= best_power:
+        if best_power is not None and power + extra >= best_power:
             return
-        for pick in order:
-            if banned[pick]:
-                continue
-            u, v, _ = edges[pick]
-            if in_tree[u] != in_tree[v]:
+        for pick, u, v in order:
+            if in_tree[u] != in_tree[v] and not banned[pick]:
                 break
         c = weights[pick]
         inner, outer = (u, v) if in_tree[u] else (v, u)
+        outer_required = is_required[outer]
 
         # include branch
         selected.append(pick)
         in_tree[outer] = True
         old_inner = node_max[inner]
-        node_max[inner] = max(old_inner, c)
         node_max[outer] = c
-        delta = (node_max[inner] - old_inner) + c
-        recurse(power + delta, covered + (1 if outer in required else 0))
-        del node_max[outer]
+        if c > old_inner:
+            node_max[inner] = c
+            delta = 2 * c - old_inner
+        else:
+            delta = c
+        recurse(power + delta, covered + outer_required, extra - cheap[outer] if outer_required else extra)
         node_max[inner] = old_inner
         in_tree[outer] = False
         selected.pop()
@@ -128,10 +126,16 @@ def exact_min_power(instance: Instance, mode: str = "steiner", node_guard: int =
         # exclude branch
         banned[pick] = True
         if still_joined(outer):
-            recurse(power, covered)
+            old_cheap = cheap[outer]
+            if c == old_cheap:
+                cheap[outer] = cheapest(outer)
+                if outer_required:
+                    extra += cheap[outer] - old_cheap
+            recurse(power, covered, extra)
+            cheap[outer] = old_cheap
         banned[pick] = False
 
-    recurse(0, 1)
+    recurse(0, 1, sum(cheap[t] for t in required if t != root))
     # zero-cost edges to non-required leaves tie with the tree without them
     return evaluate(instance, strip_leaves(edges, best_edges, required))
 
@@ -145,7 +149,7 @@ def _grow(instance: Instance, labels: list[int | None]) -> list[int | None]:
     weight, in place, and return each node's last path edge (None where a
     node keeps its own label)."""
     n = instance.node_count
-    weights = instance.weights
+    edges, weights = instance.edges, instance.weights
     pred_edge: list[int | None] = [None] * n
     heap = [(d, v) for v, d in enumerate(labels) if d is not None]
     heapq.heapify(heap)
@@ -156,7 +160,8 @@ def _grow(instance: Instance, labels: list[int | None]) -> list[int | None]:
             continue
         done[v] = True
         for eid in instance.adjacency[v]:
-            other = instance.other_end(eid, v)
+            a, b, _ = edges[eid]
+            other = b if a == v else a
             nd = d + weights[eid]
             if labels[other] is None or nd < labels[other]:
                 labels[other] = nd

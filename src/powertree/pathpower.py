@@ -52,44 +52,48 @@ def capped_state_search(
     edges, then the lexicographically smallest node sequence. Nodes in
     `forbidden` are never traversed.
     """
-    weights = instance.weights
+    edges, weights, adjacency = instance.edges, instance.weights, instance.adjacency
+    forbidden = forbidden or frozenset()
     best: dict[tuple[int, int], tuple[int, int, tuple[int, ...], tuple[int, ...]]] = {}
     heap: list[tuple[int, int, tuple[int, ...], tuple[int, ...], int, int]] = []
+    push, pop = heapq.heappush, heapq.heappop
 
-    def offer(state, power, n_edges, nodes, edges):
-        cur = best.get(state)
-        val = (power, n_edges, nodes, edges)
-        if cur is None or val[:3] < cur[:3]:
-            best[state] = val
-            heapq.heappush(heap, (power, n_edges, nodes, edges, state[0], state[1]))
-
-    for eid in instance.adjacency[src]:
-        other = instance.other_end(eid, src)
-        if forbidden and other in forbidden:
+    for eid in adjacency[src]:
+        u, v, _ = edges[eid]
+        other = v if u == src else u
+        if other in forbidden:
             continue
-        offer((other, eid), max(cap_src, weights[eid]), 1, (src, other), (eid,))
+        w = weights[eid]
+        power = cap_src if cap_src > w else w
+        nodes, path = (src, other), (eid,)
+        best[other, eid] = (power, 1, nodes, path)
+        push(heap, (power, 1, nodes, path, other, eid))
 
-    done: set[tuple[int, int]] = set()
+    # A label is replaced only by a strictly better one, and each stored
+    # label holds its own node tuple, so a popped entry is current iff its
+    # node tuple is the stored one. A popped state is never improved later:
+    # every label pushed after it is longer and at least as costly.
     while heap:
-        power, n_edges, nodes, edges, node, eid = heapq.heappop(heap)
-        state = (node, eid)
-        if state in done or best.get(state, ())[:3] != (power, n_edges, nodes):
+        power, n_edges, nodes, path, node, eid = pop(heap)
+        if best[node, eid][2] is not nodes:
             continue
-        done.add(state)
         c_in = weights[eid]
-        for nxt in instance.adjacency[node]:
-            other = instance.other_end(nxt, node)
-            if other in nodes:
+        n_next = n_edges + 1
+        for nxt in adjacency[node]:
+            u, v, _ = edges[nxt]
+            other = v if u == node else u
+            if other in nodes or other in forbidden:
                 continue
-            if forbidden and other in forbidden:
+            w = weights[nxt]
+            new_power = power + (c_in if c_in > w else w)
+            state = (other, nxt)
+            new_nodes = nodes + (other,)
+            cur = best.get(state)
+            if cur is not None and (new_power, n_next, new_nodes) >= cur[:3]:
                 continue
-            offer(
-                (other, nxt),
-                power + max(c_in, weights[nxt]),
-                n_edges + 1,
-                nodes + (other,),
-                edges + (nxt,),
-            )
+            new_path = path + (nxt,)
+            best[state] = (new_power, n_next, new_nodes, new_path)
+            push(heap, (new_power, n_next, new_nodes, new_path, other, nxt))
     return best
 
 

@@ -8,11 +8,13 @@ must give the same results, ties included. Every oracle computes on the
 instance's Fraction costs, never on the scaled int weights the package's
 solvers use, except `irr_solve_reference`, which keeps an earlier IRR loop
 around the package's own layers, `exact_min_power_reference`, which keeps
-the earlier branch-and-bound verbatim, `component_four_reference`, which
-keeps the earlier |Q| = 4 structure guessing verbatim on the package's
-path search, and `enumerate_columns_reference` and `solve_lp_reference`,
-which keep the column list of one `Component` per column (Q, s) and the LP
-that read it, on the package's searches, simplex and flow network.
+the earlier branch-and-bound verbatim, `exact_min_power_first_reference`,
+which keeps verbatim the later one that returns the first optimum it
+reaches, `component_four_reference`, which keeps the earlier |Q| = 4
+structure guessing verbatim on the package's path search, and
+`enumerate_columns_reference` and `solve_lp_reference`, which keep the
+column list of one `Component` per column (Q, s) and the LP that read it,
+on the package's searches, simplex and flow network.
 """
 
 from __future__ import annotations
@@ -557,6 +559,122 @@ def exact_min_power_reference(instance: Instance, mode: str = "steiner", node_gu
     if best_edges is None:
         raise SolverError("no feasible tree found")
     return evaluate(instance, best_edges)
+
+
+def exact_min_power_first_reference(instance: Instance, mode: str = "steiner", node_guard: int = 12) -> PowerTree:
+    """The branch-and-bound that returns the first optimum it reaches, with its
+    lower bound recomputed at every branch; kept verbatim.
+
+    mode="spanning" requires every node; mode="steiner" requires the terminal
+    set. Ties are resolved deterministically: the result is the first optimum
+    the search reaches, where each branch first includes, then excludes, the
+    cheapest crossing edge by (weight, id). Every leaf of the result is a
+    required node. The node guard bounds the default instance size; callers
+    may raise it for structured instances at their own risk.
+    """
+    if mode not in ("steiner", "spanning"):
+        raise SolverError(f"unknown mode {mode!r}")
+    if instance.node_count > node_guard:
+        raise SolverError(f"node count {instance.node_count} exceeds guard {node_guard}")
+    required = frozenset(range(instance.node_count)) if mode == "spanning" else instance.terminals
+    # Invariant of every branch: the unbanned edges join the root (a terminal)
+    # and every required node. So each required node outside the tree has an
+    # unbanned edge, and some unbanned edge crosses out of the tree.
+    if not connects(instance.node_count, instance.edges, required):
+        raise SolverError("required nodes are disconnected")
+
+    edges, weights, adjacency = instance.edges, instance.weights, instance.adjacency
+    m = len(edges)
+    root = instance.root
+
+    # the first descent always takes the cheapest crossing edge (Prim's tree),
+    # so the search finds its own upper bound before it has to prune
+    best_power: int | None = None
+    best_edges: tuple[int, ...] = ()
+
+    in_tree = [False] * instance.node_count
+    in_tree[root] = True
+    node_max: dict[int, int] = {root: 0}
+    banned = [False] * m
+
+    def lower_bound(power: int) -> int:
+        extra = 0
+        for t in required:
+            if in_tree[t]:
+                continue
+            cheapest = None
+            for eid in adjacency[t]:
+                if banned[eid]:
+                    continue
+                c = weights[eid]
+                if cheapest is None or c < cheapest:
+                    cheapest = c
+            extra += cheapest
+        return power + extra
+
+    def still_joined(outer: int) -> bool:
+        """The invariant after banning an edge from the tree to `outer`: either
+        `outer` still reaches the tree, or its cut-off side holds no required
+        node."""
+        seen = {outer}
+        stack = [outer]
+        while stack:
+            x = stack.pop()
+            for eid in adjacency[x]:
+                if banned[eid]:
+                    continue
+                u, v, _ = edges[eid]
+                y = v if u == x else u
+                if in_tree[y]:
+                    return True
+                if y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+        return required.isdisjoint(seen)
+
+    order = sorted(range(m), key=lambda e: (weights[e], e))
+    selected: list[int] = []
+
+    def recurse(power: int, covered: int) -> None:
+        nonlocal best_power, best_edges
+        if covered == len(required):
+            if best_power is None or power < best_power:
+                best_power = power
+                best_edges = tuple(selected)
+            return
+        if best_power is not None and lower_bound(power) >= best_power:
+            return
+        for pick in order:
+            if banned[pick]:
+                continue
+            u, v, _ = edges[pick]
+            if in_tree[u] != in_tree[v]:
+                break
+        c = weights[pick]
+        inner, outer = (u, v) if in_tree[u] else (v, u)
+
+        # include branch
+        selected.append(pick)
+        in_tree[outer] = True
+        old_inner = node_max[inner]
+        node_max[inner] = max(old_inner, c)
+        node_max[outer] = c
+        delta = (node_max[inner] - old_inner) + c
+        recurse(power + delta, covered + (1 if outer in required else 0))
+        del node_max[outer]
+        node_max[inner] = old_inner
+        in_tree[outer] = False
+        selected.pop()
+
+        # exclude branch
+        banned[pick] = True
+        if still_joined(outer):
+            recurse(power, covered)
+        banned[pick] = False
+
+    recurse(0, 1)
+    # zero-cost edges to non-required leaves tie with the tree without them
+    return evaluate(instance, strip_leaves(edges, best_edges, required))
 
 
 def capped_state_search_reference(

@@ -11,6 +11,7 @@ from powertree.graph import connects, incidence
 from powertree.instance import parse_instance, reduce_cost_to_power, serialize
 from oracles import (
     dreyfus_wagner_reference,
+    exact_min_power_first_reference,
     exact_min_power_reference,
     min_cost_tree_bruteforce,
     min_power_tree_bruteforce,
@@ -108,8 +109,9 @@ def test_readme_library_sketch(tmp_path, monkeypatch):
 
 
 def test_matches_reference():
-    # same power as the branch-and-bound that walked every tied optimum; the
-    # new tree is a tree on the required nodes whose leaves are all required
+    # same power as the branch-and-bound that walked every tied optimum, and
+    # the same edges as the one that recomputed its lower bound per branch;
+    # the tree is a tree on the required nodes whose leaves are all required
     cases = [
         (generate(kind, nodes, 2 + nodes // 3, 16_000 + 100 * nodes + len(kind),
                   edge_prob=0.4, cost_max=4), mode, 12)
@@ -125,6 +127,7 @@ def test_matches_reference():
         tree = exact_min_power(inst, mode, node_guard=guard)
         want = exact_min_power_reference(inst, mode, node_guard=guard)
         assert tree.total_power == want.total_power
+        assert tree.edges == exact_min_power_first_reference(inst, mode, node_guard=guard).edges
         assert connects(inst.node_count, [inst.edges[e] for e in tree.edges], required)
         assert leaves(inst, tree.edges) <= required
 

@@ -3,10 +3,10 @@ from fractions import Fraction as F
 
 import pytest
 
-from powertree.generators import generate
+from powertree.generators import GENERATOR_KINDS, generate
 from powertree.instance import Instance, parse_instance
-from powertree.pathpower import PathError, min_power_path
-from oracles import min_power_path_bruteforce
+from powertree.pathpower import PathError, capped_state_search, min_power_path
+from oracles import capped_state_search_reference, min_power_path_bruteforce
 
 
 def test_single_edge():
@@ -74,3 +74,25 @@ def test_deterministic_tie_break():
     inst = parse_instance(text)
     res = min_power_path(inst, 0, 3)
     assert res.nodes == (0, 1, 3)
+
+
+def test_capped_state_search_matches_reference():
+    # every state, label, node path, edge path and the key order, in scaled
+    # units; zeroed costs make many equal-power labels, caps 0 and positive
+    for kind in GENERATOR_KINDS:
+        for s in range(3):
+            nodes = 3 + s % 2 if kind == "reduction-wrapped" else 6 + s
+            base = generate(kind, nodes, 2, 15_000 + 100 * s + len(kind), edge_prob=0.5, cost_max=6)
+            rng = random.Random(15_000 + s)
+            for zeroed in (0.0, 0.3, 0.6, 0.9):
+                inst = base.with_costs([F(0) if rng.random() < zeroed else c for _, _, c in base.edges])
+                for src in range(inst.node_count):
+                    far = {(src + 1) % inst.node_count, (src + 3) % inst.node_count} - {src}
+                    for cap in (0, max(inst.weights) // 2 + 1):
+                        for forbidden in (None, frozenset(far)):
+                            got = capped_state_search(inst, src, cap, forbidden)
+                            want = capped_state_search_reference(inst, src, F(cap, inst.scale), forbidden)
+                            assert list(got.items()) == [
+                                (state, (power * inst.scale, n, path_nodes, path_edges))
+                                for state, (power, n, path_nodes, path_edges) in want.items()
+                            ], (kind, s, zeroed, src, cap, forbidden)
