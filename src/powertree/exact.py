@@ -89,7 +89,7 @@ def exact_min_power(instance: Instance, mode: str = "steiner", node_guard: int =
                     stack.append(y)
         return required.isdisjoint(seen)
 
-    order = [(eid, *ends[eid]) for eid in sorted(range(len(edges)), key=lambda e: (weights[e], e))]
+    order = [(eid, *ends[eid], weights[eid]) for eid in sorted(range(len(edges)), key=lambda e: (weights[e], e))]
     selected: list[int] = []
 
     def recurse(power: int, covered: int, extra: int) -> None:
@@ -101,11 +101,28 @@ def exact_min_power(instance: Instance, mode: str = "steiner", node_guard: int =
             return
         if best_power is not None and power + extra >= best_power:
             return
-        for pick, u, v in order:
-            if in_tree[u] != in_tree[v] and not banned[pick]:
+        # The tree still grows by some unbanned crossing edge, which raises
+        # both of its ends to at least its weight; `step` is the least such
+        # rise beyond `power + extra` over those edges. The branch edge
+        # `pick` is the first of them in `order`.
+        pick = -1
+        step = 0
+        for eid, a, b, w in order:
+            if in_tree[a] == in_tree[b] or banned[eid]:
+                continue
+            x, y = (a, b) if in_tree[a] else (b, a)
+            rise = w - cheap[y] if is_required[y] else w
+            if w > node_max[x]:
+                rise += w - node_max[x]
+            if pick < 0:
+                pick, c, inner, outer = eid, w, x, y
+                step = rise
+            elif rise < step:
+                step = rise
+            if not step:
                 break
-        c = weights[pick]
-        inner, outer = (u, v) if in_tree[u] else (v, u)
+        if best_power is not None and power + extra + step >= best_power:
+            return
         outer_required = is_required[outer]
 
         # include branch

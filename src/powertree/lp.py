@@ -57,12 +57,18 @@ class _DualSimplex:
     which makes the pivots independent of the cost scale; row 1 + i holds
     constraint i. Column 0 is the right-hand side, column 1 + j is x_j and
     column 1 + n + i is s_i.
+
+    The tableau is the first rows of a zeroed buffer with room for more rows
+    and their surplus columns, so it stays contiguous; the columns past the
+    last surplus stay 0 and never enter. A full buffer is copied into one
+    of twice the room, so each row is copied O(1) times.
     """
 
     def __init__(self, objective: list[float]):
         self.objective = objective
         self.n = len(objective)
-        self.tableau = np.zeros((1, 1 + self.n))
+        self.buffer = np.zeros((1, 1 + self.n))  # room for no constraint row yet
+        self.tableau = self.buffer
         self.tableau[0, 1:] = objective
         scale = max(objective, default=0.0)
         if scale > 0.0:
@@ -71,15 +77,22 @@ class _DualSimplex:
 
     def add_row(self, support: list[int]) -> None:
         """Append the row sum_{j in support} x_j >= 1 with its surplus basic."""
-        m, width = self.tableau.shape
-        t = np.zeros((m + 1, width + 1))
-        t[:m, :width] = self.tableau
+        m = 1 + len(self.basis)
+        width = self.n + m  # the new row's surplus column
+        if m == self.buffer.shape[0]:
+            room = 2 * m - 1  # constraint rows
+            buffer = np.zeros((1 + room, 1 + self.n + room))
+            buffer[:m, :width] = self.tableau[:, :width]
+            self.buffer = buffer
+        t = self.tableau = self.buffer[:m + 1]
         row = t[m]
         row[0] = -1.0
         row[1 + np.asarray(support, dtype=np.intp)] = -1.0
         row[width] = 1.0
-        row -= row[self.basis] @ t[1:m]  # zero the entries under basic columns
-        self.tableau = t
+        # zero the entries under basic columns; the product spans only the
+        # columns in use, because over the whole buffer width BLAS may sum
+        # in another order and change the last bits of x
+        row[:width + 1] -= row[self.basis] @ t[1:m, :width + 1]
         self.basis = np.append(self.basis, width)
 
     def solve(self) -> tuple[dict[int, float], float]:
@@ -104,12 +117,11 @@ class _DualSimplex:
             col[r] = 0.0
             t -= np.outer(col, t[r])
             basis[r - 1] = enter
-        x = {}
-        for i, b in enumerate(basis):
-            # keep even tiny masses: truncation here would leak into the
-            # separation oracle as spurious row violations
-            if b <= self.n and t[1 + i, 0] > 0.0:
-                x[int(b) - 1] = float(t[1 + i, 0])
+        # keep even tiny masses: truncation here would leak into the
+        # separation oracle as spurious row violations
+        rhs = t[1:, 0]
+        rows = np.flatnonzero((basis <= self.n) & (rhs > 0.0))
+        x = dict(zip((basis[rows] - 1).tolist(), rhs[rows].tolist()))
         value = sum(self.objective[j] * xv for j, xv in x.items())
         return x, value
 

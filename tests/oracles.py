@@ -11,10 +11,12 @@ around the package's own layers, `exact_min_power_reference`, which keeps
 the earlier branch-and-bound verbatim, `exact_min_power_first_reference`,
 which keeps verbatim the later one that returns the first optimum it
 reaches, `component_four_reference`, which keeps the earlier |Q| = 4
-structure guessing verbatim on the package's path search, and
+structure guessing verbatim on the package's path search,
 `enumerate_columns_reference` and `solve_lp_reference`, which keep the
 column list of one `Component` per column (Q, s) and the LP that read it,
-on the package's searches, simplex and flow network.
+on the package's searches, simplex and flow network, and
+`DualSimplexReference`, which keeps verbatim the simplex tableau that was
+copied whole for every added row.
 """
 
 from __future__ import annotations
@@ -26,6 +28,8 @@ from itertools import combinations, compress, product
 from math import ceil, comb, lcm
 from operator import not_
 
+import numpy as np
+
 from powertree.analysis import AnalysisError, MarkedBinaryTree
 from powertree.components import COLUMN_GUARD, Component, ComponentError, enumerate_columns
 from powertree.decomposition import Decomposition
@@ -33,7 +37,7 @@ from powertree.exact import SolverError
 from powertree.graph import UnionFind, connects, rooted_children, strip_leaves
 from powertree.instance import Instance, PowerTree, edge_set_power, evaluate
 from powertree.irr import IrrError, IterationRecord, RunTrace, prune, zero_power_tree_exists
-from powertree.lp import DEFAULT_TOL, LpError, LpState, _DualSimplex, _FlowNet, solve_lp
+from powertree.lp import _PIVOT_EPS, DEFAULT_TOL, LpError, LpState, _DualSimplex, _FlowNet, solve_lp
 from powertree.pathpower import capped_state_search
 from powertree.pruning import extract_tree
 from powertree.trees import CostedTree, TreeError, validate_full_component
@@ -1132,6 +1136,77 @@ def separate_reference(instance: Instance, columns: list[Component], x: dict[int
         return None
     reachable = worst[2]
     return frozenset(t for t in terms if index[t] in reachable)
+
+
+class DualSimplexReference:
+    """The package's dual simplex tableau as it was when each row copied the
+    whole tableau; kept verbatim as the oracle for the tableau that grows by
+    doubling its room.
+
+    Dual simplex tableau of min c.x over {x >= 0, A x >= 1}, kept across rows.
+
+    Each row i of A is stored as -A_i x + s_i = -1 with its surplus s_i, so
+    the surplus basis is dual feasible (every cost is >= 0) and needs no
+    phase 1; a row appended later keeps the basis dual feasible, so pivoting
+    resumes where it stopped. Row 0 holds the reduced costs of c / max(c),
+    which makes the pivots independent of the cost scale; row 1 + i holds
+    constraint i. Column 0 is the right-hand side, column 1 + j is x_j and
+    column 1 + n + i is s_i.
+    """
+
+    def __init__(self, objective: list[float]):
+        self.objective = objective
+        self.n = len(objective)
+        self.tableau = np.zeros((1, 1 + self.n))
+        self.tableau[0, 1:] = objective
+        scale = max(objective, default=0.0)
+        if scale > 0.0:
+            self.tableau[0, 1:] /= scale
+        self.basis = np.zeros(0, dtype=np.intp)  # tableau column basic in row 1 + i
+
+    def add_row(self, support: list[int]) -> None:
+        """Append the row sum_{j in support} x_j >= 1 with its surplus basic."""
+        m, width = self.tableau.shape
+        t = np.zeros((m + 1, width + 1))
+        t[:m, :width] = self.tableau
+        row = t[m]
+        row[0] = -1.0
+        row[1 + np.asarray(support, dtype=np.intp)] = -1.0
+        row[width] = 1.0
+        row -= row[self.basis] @ t[1:m]  # zero the entries under basic columns
+        self.tableau = t
+        self.basis = np.append(self.basis, width)
+
+    def solve(self) -> tuple[dict[int, float], float]:
+        """Pivot until every row is feasible; return the basic x and its value.
+
+        Bland's rule for the dual: the infeasible row with the smallest basic
+        index leaves, and the minimum-ratio column enters, ties going to the
+        smallest index. Deterministic and cycle-free.
+        """
+        t, basis = self.tableau, self.basis
+        while True:
+            rows = np.flatnonzero(t[1:, 0] < -_PIVOT_EPS)
+            if rows.size == 0:
+                break
+            r = 1 + rows[np.argmin(basis[rows])]
+            cols = 1 + np.flatnonzero(t[r, 1:] < -_PIVOT_EPS)
+            if cols.size == 0:
+                raise LpError("infeasible: no fractional solution covers every cut row")
+            enter = cols[np.argmin(t[0, cols] / -t[r, cols])]
+            t[r] /= t[r, enter]
+            col = t[:, enter].copy()
+            col[r] = 0.0
+            t -= np.outer(col, t[r])
+            basis[r - 1] = enter
+        x = {}
+        for i, b in enumerate(basis):
+            # keep even tiny masses: truncation here would leak into the
+            # separation oracle as spurious row violations
+            if b <= self.n and t[1 + i, 0] > 0.0:
+                x[int(b) - 1] = float(t[1 + i, 0])
+        value = sum(self.objective[j] * xv for j, xv in x.items())
+        return x, value
 
 
 def solve_lp_reference(instance: Instance, columns: list[Component], tol: float = DEFAULT_TOL) -> LpState:

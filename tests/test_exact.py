@@ -132,6 +132,27 @@ def test_matches_reference():
         assert leaves(inst, tree.edges) <= required
 
 
+def test_matches_first_reference_on_zeroed_costs():
+    # zeroed costs make tied optima common, and they are where the crossing
+    # step's scan stops at a rise of 0: the first optimum must not move
+    checked = 0
+    for kind in GENERATOR_KINDS:
+        for fraction in (0, 0.3, 0.6, 0.9):
+            for s in range(6):
+                nodes = 3 + s % 2 if kind == "reduction-wrapped" else 6 + s % 5
+                base = generate(kind, nodes, 2 + s % 2, 24_000 + 100 * s + len(kind),
+                                edge_prob=0.4, cost_max=4)
+                if base.node_count > 12:
+                    continue
+                rng = random.Random(s)
+                inst = base.with_costs([0 if rng.random() < fraction else c for _, _, c in base.edges])
+                for mode in ("steiner", "spanning"):
+                    want = exact_min_power_first_reference(inst, mode)
+                    assert exact_min_power(inst, mode).edges == want.edges, (kind, fraction, s, mode)
+                    checked += 1
+    assert checked >= 100
+
+
 def test_baseline_two_terminal():
     inst = parse_instance("nodes 2\nedge 0 1 5\nterminals 0 1\nroot 0\n")
     tree = baseline_min_cost(inst, "steiner")

@@ -4,12 +4,13 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from powertree.bench import with_mode
 from powertree.components import enumerate_columns
 from powertree.exact import exact_min_power
 from powertree.generators import GENERATOR_KINDS, generate
 from powertree.instance import parse_instance
-from powertree.lp import LpError, _FlowNet, lp_core_solve, row_support, separate, solve_lp
-from oracles import all_cut_rows, lp_vertex_enumeration
+from powertree.lp import LpError, _DualSimplex, _FlowNet, lp_core_solve, row_support, separate, solve_lp
+from oracles import DualSimplexReference, all_cut_rows, lp_vertex_enumeration
 
 
 # ---------------------------------------------------------------------------
@@ -236,6 +237,45 @@ def test_warm_start_matches_cold_solve():
         supports = [row_support(cols, w) for w in state.rows]
         _, cold = lp_core_solve(supports, len(cols), [float(c.power) for c in cols])
         assert relative_gap(state.objective, cold) <= 1e-9, (state.objective, cold)
+
+
+def tableau_cases():
+    """(columns, rows) LPs: every cut row of a small spanning instance of each
+    generator kind, and the cutting-plane rows of two spanning
+    `reduction-wrapped` instances whose costs are divided by distinct primes
+    and 10^12 (1,920 columns, degenerate)."""
+    primes = [p for p in range(2, 200) if all(p % q for q in range(2, p))]
+    for kind in GENERATOR_KINDS:
+        nodes = 3 if kind == "reduction-wrapped" else 6
+        inst = with_mode(generate(kind, nodes, 2, 24_100 + len(kind), edge_prob=0.5), "spanning")
+        yield enumerate_columns(inst, 3), list(all_cut_rows(inst))
+    for seed in (18_003, 18_009):
+        base = generate("reduction-wrapped", 4, 4, seed, edge_prob=0.5, cost_max=9)
+        inst = with_mode(base.with_costs([c / (primes[e] * 10**12) for e, (_, _, c) in enumerate(base.edges)]),
+                         "spanning")
+        cols = enumerate_columns(inst, 3)
+        yield cols, solve_lp(inst, cols).rows
+
+
+def test_tableau_matches_copying_tableau():
+    # the tableau grows into a buffer of twice its room when full; warm
+    # started after every row, it must give the x of the tableau that copied
+    # itself whole per row, float for float and in the same key order (the
+    # wide, degenerate LPs tell apart products that round differently)
+    for cols, rows in tableau_cases():
+        prices = [float(c.power) for c in cols]
+        lp, ref = _DualSimplex(prices), DualSimplexReference(prices)
+        buffers = [lp.buffer]
+        for w in rows:
+            support = row_support(cols, w)
+            lp.add_row(support)
+            ref.add_row(support)
+            if lp.buffer is not buffers[-1]:
+                buffers.append(lp.buffer)
+            (x, value), (want_x, want_value) = lp.solve(), ref.solve()
+            assert list(x.items()) == list(want_x.items()), (len(cols), sorted(w))
+            assert value == want_value, (len(cols), sorted(w))
+        assert len(buffers) >= 3  # two doublings at least
 
 
 def test_infeasible_without_columns():
