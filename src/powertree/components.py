@@ -12,6 +12,10 @@ first |Q| = 4 query (`_topologies`), and kept as immutable tuples.
 Every search adds and compares the instance's scaled int weights. The LP
 columns are one `ColumnSet`, which keeps p_Q as a scaled int per terminal
 set; a power becomes a Fraction only in a `Component` read from it.
+`Instance` rejects disconnected terminals, so every terminal set connects
+and the columns depend only on |R| and k: their structure is one `_Layout`
+per (|R|, k), built on the first `enumerate_columns` call that needs it and
+kept in a small bounded cache.
 """
 
 from __future__ import annotations
@@ -20,9 +24,11 @@ import heapq
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property, lru_cache
 from itertools import combinations, product
 from math import comb
+
+import numpy as np
 
 from .instance import Instance, edge_set_power
 from .pathpower import capped_state_search
@@ -341,46 +347,95 @@ def _component_four(instance: Instance, q_nodes: tuple[int, ...]) -> tuple[int, 
     return None if best is None else (best[0], (best[1],))
 
 
+# distinct (|R|, k) layouts kept at once; one near `COLUMN_GUARD` columns
+# holds about 6 MB, so the cache stays small
+_LAYOUTS = 8
+
+
+@dataclass(frozen=True, eq=False)
+class _Layout:
+    """The columns (Q, s) with 2 <= |Q| <= k on |R| terminals, in
+    terminal-index space: terminal a is the a-th smallest terminal.
+
+    `members` holds each terminal set's indices in ascending order: the
+    sets of 2, then 3, then 4 terminals, each size in `combinations` order.
+    The columns of a set are consecutive, one per member as the sink. Per
+    column, `owner` holds the index of its set, `sinks` the sink's index,
+    `masks` the set's bitmask (bit a for terminal a) and `sink_bits` the
+    sink's bit. `singletons[a]` lists the columns of the cut row for
+    terminal a alone: the sets that hold a, with a sink other than a.
+    """
+
+    members: tuple[tuple[int, ...], ...]
+    owner: tuple[int, ...]
+    sinks: tuple[int, ...]
+    masks: tuple[int, ...]
+    sink_bits: tuple[int, ...]
+    singletons: tuple[np.ndarray, ...]
+
+
+@lru_cache(maxsize=_LAYOUTS)
+def _layout(r: int, k: int) -> _Layout:
+    """The column layout for `r` terminals and k, built on first use."""
+    members = [m for size in range(2, k + 1) for m in combinations(range(r), size)]
+    owner: list[int] = []
+    sinks: list[int] = []
+    masks: list[int] = []
+    singletons: list[list[int]] = [[] for _ in range(r)]
+    for i, m in enumerate(members):
+        start = len(owner)
+        owner += [i] * len(m)
+        sinks += m
+        masks += [sum(1 << a for a in m)] * len(m)
+        for a in m:
+            singletons[a] += [start + s for s, b in enumerate(m) if b != a]
+    sink_bits = [1 << a for a in sinks]
+    return _Layout(tuple(members), tuple(owner), tuple(sinks), tuple(masks), tuple(sink_bits),
+                   tuple(np.array(support, dtype=np.intp) for support in singletons))
+
+
 class ColumnSet(Sequence[Component]):
     """The LP columns (Q, s) with 2 <= |Q| <= k, held once per terminal set Q.
 
-    Per Q, in enumeration order: its members in sorted order (`members`),
-    the frozenset (`sets`) and p_Q in the instance's scaled units (`powers`;
-    p_Q / `scale` is its cost). The columns of Q are consecutive, one per
-    member in sorted order as the sink. Per column, `owner` holds the index
-    of its terminal set and `sinks` its sink; for the cut rows, `masks`
-    holds Q's terminal bitmask and `sink_bits` the sink's bit, and `bits`
-    gives the i-th smallest terminal bit i. Q's tree is built when a column
-    of Q is first read and then kept for every sink; until then a pair or a
-    |Q| = 4 component keeps its edges and a spider its three legs.
+    The column structure is the `_Layout` for |R| and k, shared by every
+    column set on as many terminals; a column set adds only its sorted
+    terminals (`terms`), p_Q per terminal set in the instance's scaled units
+    (`powers`; p_Q / `scale` is its cost) and what each tree is built from.
+    Node ids are mapped in only where they are read: per Q, its members in
+    sorted order (`members`) and the frozenset (`sets`); per column, the
+    index of its terminal set (`owner`) and its sink (`sinks`). For the cut
+    rows, `masks` holds Q's terminal bitmask and `sink_bits` the sink's bit,
+    and `bits` gives the i-th smallest terminal bit i. Q's tree is built
+    when a column of Q is first read and then kept for every sink; until
+    then a pair or a |Q| = 4 component keeps its edges and a spider its
+    three legs.
     """
 
-    def __init__(self, instance: Instance):
+    def __init__(self, instance: Instance, terms: tuple[int, ...], layout: _Layout,
+                 powers: list[int], legs: list[tuple[tuple[int, ...], ...]]):
         self.instance = instance
         self.scale = instance.scale
-        self.members: list[tuple[int, ...]] = []
-        self.sets: list[frozenset[int]] = []
-        self.powers: list[int] = []
-        self._legs: list[tuple[tuple[int, ...], ...]] = []
+        self.terms = terms
+        self.layout = layout
+        self.owner, self.masks, self.sink_bits = layout.owner, layout.masks, layout.sink_bits
+        self.bits = {t: 1 << a for a, t in enumerate(terms)}
+        self.powers = powers
+        self._legs = legs
         self._trees: dict[int, tuple[int, ...]] = {}
-        self.owner: list[int] = []
-        self.sinks: list[int] = []
-        self.bits = {t: 1 << i for i, t in enumerate(sorted(instance.terminals))}
-        self.masks: list[int] = []
-        self.sink_bits: list[int] = []
 
-    def add(self, members: tuple[int, ...], power: int, legs: tuple[tuple[int, ...], ...]) -> None:
-        """Append Q = `members` (sorted) of scaled power `power`, its tree
-        to be built from `legs` as `_tree` does."""
-        self.members.append(members)
-        self.sets.append(frozenset(members))
-        self.owner += [len(self.powers)] * len(members)
-        self.sinks += members
-        self.powers.append(power)
-        self._legs.append(legs)
-        member_bits = [self.bits[t] for t in members]
-        self.masks += [sum(member_bits)] * len(members)
-        self.sink_bits += member_bits
+    @cached_property
+    def members(self) -> list[tuple[int, ...]]:
+        terms = self.terms
+        return [tuple(terms[a] for a in m) for m in self.layout.members]
+
+    @cached_property
+    def sets(self) -> list[frozenset[int]]:
+        return [frozenset(m) for m in self.members]
+
+    @cached_property
+    def sinks(self) -> list[int]:
+        terms = self.terms
+        return [terms[a] for a in self.layout.sinks]
 
     def mask(self, nodes) -> int:
         """Bitmask of the terminals among `nodes`."""
@@ -389,13 +444,19 @@ class ColumnSet(Sequence[Component]):
 
     def column(self, j: int) -> tuple[int, int]:
         """Column j as (index of its terminal set, sink)."""
-        return self.owner[j], self.sinks[j]
+        return self.owner[j], self.terms[self.layout.sinks[j]]
+
+    def terminal_set(self, i: int) -> frozenset[int]:
+        """Terminal set i, built as `sets[i]` is, so it iterates in the same
+        order."""
+        terms = self.terms
+        return frozenset([terms[a] for a in self.layout.members[i]])
 
     def tree(self, i: int) -> tuple[int, ...]:
         """Edges of terminal set i's tree, built on first read."""
         tree = self._trees.get(i)
         if tree is None:
-            tree = self._trees[i] = _tree(self.instance, self._legs[i], self.sets[i])
+            tree = self._trees[i] = _tree(self.instance, self._legs[i], self.terminal_set(i))
         return tree
 
     def __len__(self) -> int:
@@ -404,43 +465,45 @@ class ColumnSet(Sequence[Component]):
     def __getitem__(self, j: int) -> Component:
         """Column j as a `Component`, its tree built if Q's is not yet."""
         i, sink = self.column(j)
-        return Component(self.sets[i], sink, self.tree(i), Fraction(self.powers[i], self.scale))
+        return Component(self.terminal_set(i), sink, self.tree(i), Fraction(self.powers[i], self.scale))
 
 
 def enumerate_columns(instance: Instance, k: int) -> ColumnSet:
     """All LP columns (Q, s) with 2 <= |Q| <= k, as one column set.
 
-    p_Q is computed once per Q and shared across its sink choices; terminal
-    sets that cannot be connected are skipped. Guarded at 50,000 columns.
+    `Instance` rejects disconnected terminals, so every terminal set
+    connects and the columns are those of the shared `_Layout` for |R| and
+    k. p_Q is computed once per Q and shared across its sink choices.
+    Guarded at 50,000 columns.
     """
     if not 2 <= k <= 4:
         raise ComponentError(f"k must be in [2, 4], got {k}")
-    terms = sorted(instance.terminals)
+    terms = tuple(sorted(instance.terminals))
     r = len(terms)
     count = sum(comb(r, j) * j for j in range(2, min(k, r) + 1))
     if count > COLUMN_GUARD:
         raise ComponentError(f"column count {count} exceeds guard {COLUMN_GUARD}")
+    layout = _layout(r, k)
     # the per-terminal state searches are Q-independent: one per terminal,
     # made when a terminal set first needs it
     enter: list = [None] * r
-    columns = ColumnSet(instance)
-    for a, b in combinations(range(r), 2):
-        if enter[a] is None:
-            enter[a] = _entering(instance, terms[a])
-        got = _pair(enter[a], terms[b])
-        if got is not None:
-            columns.add((terms[a], terms[b]), *got)
-    if k >= 3 and r >= 3:
-        enter[-1] = _entering(instance, terms[-1])
-        for a, b, c in combinations(range(r), 3):
-            got = _spider(enter[a], enter[b], enter[c])
-            if got is not None:
-                columns.add((terms[a], terms[b], terms[c]), *got)
-    if k == 4:
-        for subset in combinations(terms, 4):
-            try:
-                comp = min_power_component(instance, subset, k_cap=k)
-            except ComponentError:
-                continue
-            columns.add(subset, int(comp.power * instance.scale), (comp.edges,))
-    return columns
+    powers: list[int] = []
+    legs: list[tuple[tuple[int, ...], ...]] = []
+    for m in layout.members:
+        if len(m) == 2:
+            a = m[0]
+            if enter[a] is None:
+                enter[a] = _entering(instance, terms[a])
+            got = _pair(enter[a], terms[m[1]])
+        elif len(m) == 3:
+            if enter[-1] is None:  # the pairs made every other one
+                enter[-1] = _entering(instance, terms[-1])
+            got = _spider(*[enter[a] for a in m])
+        else:
+            comp = min_power_component(instance, [terms[a] for a in m], k_cap=k)
+            got = (int(comp.power * instance.scale), (comp.edges,))
+        if got is None:  # cannot happen: the instance's terminals connect
+            raise ComponentError(f"terminals {[terms[a] for a in m]} cannot be connected")
+        powers.append(got[0])
+        legs.append(got[1])
+    return ColumnSet(instance, terms, layout, powers, legs)

@@ -143,11 +143,15 @@ class Instance:
             adj[u].append(idx)
             adj[v].append(idx)
         object.__setattr__(self, "adjacency", tuple(tuple(a) for a in adj))
+        self._scale_costs()
+        if not connects(self.node_count, self.edges, self.terminals):
+            raise InstanceError("terminals are disconnected")
+
+    def _scale_costs(self) -> None:
+        """Set `scale` and `weights` from the edge costs."""
         scale = lcm(*(c.denominator for _, _, c in self.edges))
         object.__setattr__(self, "scale", scale)
         object.__setattr__(self, "weights", tuple(c.numerator * (scale // c.denominator) for _, _, c in self.edges))
-        if not connects(self.node_count, self.edges, self.terminals):
-            raise InstanceError("terminals are disconnected")
 
     def other_end(self, eid: int, node: int) -> int:
         u, v, _ = self.edges[eid]
@@ -162,11 +166,22 @@ class Instance:
         return [(edges[e][0], edges[e][1], weights[e]) for e in edge_ids]
 
     def with_costs(self, costs: Sequence[Fraction]) -> "Instance":
-        """Copy of this instance with the same structure and new edge costs."""
+        """Copy of this instance with the same structure and new edge costs.
+
+        Costs cannot change what the constructor checked of the structure,
+        so only the costs are checked; `adjacency` is shared."""
         if len(costs) != len(self.edges):
             raise InstanceError("cost vector length mismatch")
         new_edges = tuple((u, v, Fraction(c)) for (u, v, _), c in zip(self.edges, costs))
-        return Instance(self.node_count, new_edges, self.terminals, self.root)
+        for u, v, cost in new_edges:
+            if cost < 0:
+                raise InstanceError(f"negative cost on edge ({u},{v})")
+        copy = object.__new__(Instance)
+        for name in ("node_count", "terminals", "root", "adjacency"):
+            object.__setattr__(copy, name, getattr(self, name))
+        object.__setattr__(copy, "edges", new_edges)
+        copy._scale_costs()
+        return copy
 
 
 @dataclass(frozen=True, slots=True, eq=False)

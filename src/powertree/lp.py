@@ -10,6 +10,7 @@ fractional solution routes one unit of flow from every terminal to the root.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,16 +65,28 @@ class _DualSimplex:
     of twice the room, so each row is copied O(1) times.
     """
 
-    def __init__(self, objective: list[float]):
+    def __init__(self, objective: list[float], block: Sequence[Sequence[int]] = ()):
+        """Start from the rows sum_{j in support} x_j >= 1 of `block`, their
+        surpluses basic: the tableau `add_row` would build from them one by
+        one, in a buffer of the room its doubling would reach. Against
+        surplus-basic rows the row reduction subtracts only zeros, so no row
+        needs it."""
         self.objective = objective
-        self.n = len(objective)
-        self.buffer = np.zeros((1, 1 + self.n))  # room for no constraint row yet
-        self.tableau = self.buffer
-        self.tableau[0, 1:] = objective
+        n = self.n = len(objective)
+        m = len(block)
+        room = (1 << m.bit_length()) - 1  # constraint rows
+        self.buffer = np.zeros((1 + room, 1 + n + room))
+        t = self.tableau = self.buffer[:1 + m]
+        t[0, 1:1 + n] = objective
         scale = max(objective, default=0.0)
         if scale > 0.0:
-            self.tableau[0, 1:] /= scale
-        self.basis = np.zeros(0, dtype=np.intp)  # tableau column basic in row 1 + i
+            t[0, 1:1 + n] /= scale
+        for i, support in enumerate(block, 1):
+            t[i, 1:][support] = -1.0
+        diagonal = np.arange(1, 1 + m)
+        t[diagonal, 0] = -1.0
+        t[diagonal, n + diagonal] = 1.0
+        self.basis = n + diagonal  # tableau column basic in row 1 + i
 
     def add_row(self, support: list[int]) -> None:
         """Append the row sum_{j in support} x_j >= 1 with its surplus basic."""
@@ -87,7 +100,7 @@ class _DualSimplex:
         t = self.tableau = self.buffer[:m + 1]
         row = t[m]
         row[0] = -1.0
-        row[1 + np.asarray(support, dtype=np.intp)] = -1.0
+        row[1:][support] = -1.0
         row[width] = 1.0
         # zero the entries under basic columns; the product spans only the
         # columns in use, because over the whole buffer width BLAS may sum
@@ -104,23 +117,23 @@ class _DualSimplex:
         """
         t, basis = self.tableau, self.basis
         while True:
-            rows = np.flatnonzero(t[1:, 0] < -_PIVOT_EPS)
+            rows = (t[1:, 0] < -_PIVOT_EPS).nonzero()[0]
             if rows.size == 0:
                 break
-            r = 1 + rows[np.argmin(basis[rows])]
-            cols = 1 + np.flatnonzero(t[r, 1:] < -_PIVOT_EPS)
+            r = 1 + rows[basis[rows].argmin()]
+            cols = 1 + (t[r, 1:] < -_PIVOT_EPS).nonzero()[0]
             if cols.size == 0:
                 raise LpError("infeasible: no fractional solution covers every cut row")
-            enter = cols[np.argmin(t[0, cols] / -t[r, cols])]
+            enter = cols[(t[0, cols] / -t[r, cols]).argmin()]
             t[r] /= t[r, enter]
             col = t[:, enter].copy()
             col[r] = 0.0
-            t -= np.outer(col, t[r])
+            t -= col[:, None] * t[r]
             basis[r - 1] = enter
         # keep even tiny masses: truncation here would leak into the
         # separation oracle as spurious row violations
         rhs = t[1:, 0]
-        rows = np.flatnonzero((basis <= self.n) & (rhs > 0.0))
+        rows = ((basis <= self.n) & (rhs > 0.0)).nonzero()[0]
         x = dict(zip((basis[rows] - 1).tolist(), rhs[rows].tolist()))
         value = sum(self.objective[j] * xv for j, xv in x.items())
         return x, value
@@ -143,10 +156,7 @@ def lp_core_solve(
         bad = [j for j in support if not 0 <= j < n_cols]
         if bad:
             raise LpError(f"support index {bad[0]} outside [0, {n_cols})")
-    lp = _DualSimplex(objective)
-    for support in row_supports:
-        lp.add_row(support)
-    return lp.solve()
+    return _DualSimplex(objective, row_supports).solve()
 
 
 # ---------------------------------------------------------------------------
@@ -231,17 +241,21 @@ def separate(
     to the root falls below 1 - tol. Returns the terminal side of the min
     cut intersected with the terminal set.
     """
-    terms = sorted(instance.terminals)
-    index = {t: i for i, t in enumerate(terms)}
+    terms = columns.terms
+    index = {t: a for a, t in enumerate(terms)}
     live = [j for j in sorted(x) if x[j] > 0.0]
     net = _FlowNet(len(terms) + len(live))
     inf = sum(x.values()) + 1.0
+    owner, sinks = columns.layout.owner, columns.layout.sinks
     for gadget, j in enumerate(live, len(terms)):
-        i, sink = columns.column(j)
-        net.add(gadget, index[sink], x[j])
-        for q in columns.sets[i]:
-            if q != sink:
-                net.add(index[q], gadget, inf)
+        sink = sinks[j]
+        net.add(gadget, sink, x[j])
+        # add the arcs in the order Q's frozenset of node ids iterates: it
+        # fixes the order in which the augmenting-path search tries them
+        for q in columns.terminal_set(owner[j]):
+            a = index[q]
+            if a != sink:
+                net.add(a, gadget, inf)
     cap0 = list(net.cap)
 
     root = index[instance.root]
@@ -266,8 +280,8 @@ def solve_lp(
 ) -> LpState:
     """Cutting-plane solve of the component LP restricted to the given columns.
 
-    Starts from the singleton rows {t}, alternates LP solves with the
-    separation oracle, and stops when no violated cut remains, so the
+    Starts from the singleton rows {t}, the column layout's, as one block,
+    alternates LP solves with the separation oracle, and stops when no violated cut remains, so the
     returned x is feasible for all 2^(|R|-1)-1 rows within tol.
     """
     if not (0 < tol <= 1e-4):
@@ -280,17 +294,12 @@ def solve_lp(
         return LpState(columns, [], {}, 0.0)
     if not columns:
         raise LpError(f"infeasible: terminal {others[0]} has no covering column")
-    supports = [row_support(columns, w) for w in rows]
-    for t, support in zip(others, supports):
-        if not support:
-            raise LpError(f"infeasible: terminal {t} has no covering column")
     # int true division rounds correctly, so each price is float(p_Q)
-    prices = []
-    for power, members in zip(columns.powers, columns.members):
-        prices.extend([power / columns.scale] * len(members))
-    lp = _DualSimplex(prices)
-    for support in supports:
-        lp.add_row(support)
+    scale = columns.scale
+    set_prices = [power / scale for power in columns.powers]
+    layout = columns.layout
+    singletons = [support for a, support in enumerate(layout.singletons) if terms[a] != instance.root]
+    lp = _DualSimplex([set_prices[i] for i in layout.owner], singletons)
     history: list[float] = []
     for _ in range(MAX_ROUNDS):
         x, value = lp.solve()

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction as F
 from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -246,6 +247,33 @@ def test_column_set_matches_reference():
                 assert row_support(got, w) == row_support_reference(want, w), (case, k, sorted(w))
             checked += len(want)
     assert checked >= 5000
+
+
+def test_layout_is_complete_and_shared():
+    # every terminal set connects, so a column set holds all sum_j C(|R|, j) * j
+    # columns of the layout for |R| and k, shared by every instance with as
+    # many terminals; its singleton rows are the cut rows of one terminal
+    for k in (2, 3, 4):
+        layouts = {}  # fewer |R| values than the cache holds
+        for case, inst in column_cases():
+            terms = sorted(inst.terminals)
+            r = len(terms)
+            cols = enumerate_columns(inst, k)
+            assert len(cols) == sum(comb(r, j) * j for j in range(2, min(k, r) + 1)), (case, k)
+            assert layouts.setdefault(r, cols.layout) is cols.layout, (case, k)
+            for t, support in zip(terms, cols.layout.singletons):
+                assert support.tolist() == row_support(cols, frozenset({t})), (case, k, t)
+        assert len(layouts) >= 3
+
+
+def test_layout_cache_stays_bounded():
+    bound = components_module._layout.cache_info().maxsize
+    assert bound == components_module._LAYOUTS
+    for r in range(2, bound + 4):
+        inst = with_mode(generate("uniform-random", r, 2, 18_500 + r, edge_prob=0.3), "spanning")
+        assert len(enumerate_columns(inst, 2)) == r * (r - 1)
+        assert components_module._layout.cache_info().currsize <= bound
+    assert components_module._layout.cache_info().currsize == bound
 
 
 def counting_tree_builds(monkeypatch) -> list[str]:

@@ -246,6 +246,37 @@ def test_power_between_cost_and_twice_cost():
         assert tree.total_cost <= tree.total_power <= 2 * tree.total_cost
 
 
+def test_with_costs_equals_full_constructor():
+    # with_costs skips the structure checks that costs cannot change; its
+    # copy must equal the one the constructor builds and checks in full
+    checked = 0
+    for kind in GENERATOR_KINDS:
+        for mode in ("steiner", "spanning"):
+            for s in range(3):
+                inst = with_mode(generate(kind, 4 if kind == "reduction-wrapped" else 7, 3, 26_000 + s,
+                                          edge_prob=0.4), mode)
+                rng = random.Random(s)
+                primes = (3, 7, 11, 13)
+                for fraction in (0, 0.5):
+                    costs = [0 if rng.random() < fraction else c / primes[e % 4]
+                             for e, (_, _, c) in enumerate(inst.edges)]
+                    got = inst.with_costs(costs)
+                    want = Instance(inst.node_count, tuple((u, v, F(c)) for (u, v, _), c in zip(inst.edges, costs)),
+                                    inst.terminals, inst.root)
+                    assert got == want, (kind, mode, s, fraction)
+                    assert (got.edges, got.adjacency, got.scale, got.weights) == \
+                        (want.edges, want.adjacency, want.scale, want.weights), (kind, mode, s, fraction)
+                    assert all(type(c) is F for _, _, c in got.edges)
+                    checked += 1
+                costs = [c for _, _, c in inst.edges]
+                with pytest.raises(InstanceError, match="length mismatch"):
+                    inst.with_costs(costs[:-1])
+                u, v, _ = inst.edges[-1]
+                with pytest.raises(InstanceError, match=rf"negative cost on edge \({u},{v}\)"):
+                    inst.with_costs(costs[:-1] + [F(-1, 2)])
+    assert checked == 48
+
+
 def test_serialize_round_trip():
     for seed in range(50):
         inst = generate("uniform-random", 6, 4, seed)

@@ -278,6 +278,39 @@ def test_tableau_matches_copying_tableau():
         assert len(buffers) >= 3  # two doublings at least
 
 
+def test_singleton_block_matches_row_by_row_start():
+    # solve_lp starts the tableau from its singleton rows as one block; it
+    # must equal the tableau fed the same rows one `add_row` at a time, in
+    # its buffer too, and stay equal as the cut rows grow both past two
+    # doublings of the buffer
+    doublings = []
+    for cols, rows in tableau_cases():
+        inst = cols.instance
+        terms = sorted(inst.terminals)
+        block = [support for t, support in zip(terms, cols.layout.singletons) if t != inst.root]
+        prices = [float(c.power) for c in cols]
+        lp, ref = _DualSimplex(prices, block), _DualSimplex(prices)
+        for support in block:
+            ref.add_row(support.tolist())
+        assert np.array_equal(lp.basis, ref.basis) and lp.basis.dtype == ref.basis.dtype
+        assert np.array_equal(lp.buffer, ref.buffer)
+        start = lp.buffer
+        buffers = 0
+        for w in [w for w in rows if len(w) > 1 or inst.root in w] + [None]:
+            assert lp.buffer.shape == ref.buffer.shape, (len(cols), w)
+            (x, value), (want_x, want_value) = lp.solve(), ref.solve()
+            assert list(x.items()) == list(want_x.items()), (len(cols), w)
+            assert value == want_value, (len(cols), w)
+            if w is not None:
+                support = row_support(cols, w)
+                lp.add_row(support)
+                ref.add_row(support)
+                if lp.buffer is not start:
+                    start, buffers = lp.buffer, buffers + 1
+        doublings.append(buffers)
+    assert min(doublings) >= 2, doublings
+
+
 def test_infeasible_without_columns():
     inst = parse_instance("nodes 2\nedge 0 1 3\nterminals 0 1\nroot 0\n")
     with pytest.raises(LpError, match="no covering column"):
