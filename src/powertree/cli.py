@@ -68,8 +68,7 @@ def cmd_path(args: argparse.Namespace) -> int:
 
 def cmd_component(args: argparse.Namespace) -> int:
     instance = _load_instance(args.instance)
-    terminals = frozenset(int(t) for t in args.terminals.split(","))
-    comp = min_power_component(instance, terminals, k_cap=args.k)
+    comp = min_power_component(instance, args.terminals, k_cap=args.k)
     _emit({
         "terminals": sorted(comp.terminal_set),
         "edges": list(comp.edges),
@@ -94,8 +93,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
         dec = decomposition.bounded_degree_decompose(full, args.delta)
         bound = Fraction(1) + Fraction(2, -(-args.delta // 2) - 1)
     else:
-        q = "best" if args.q == "best" else int(args.q)
-        dec = decomposition.h_power_decompose(full, args.h, q)
+        dec = decomposition.h_power_decompose(full, args.h, args.q)
         bound = Fraction(1) + Fraction(14, args.h)
     graph = decomposition.component_graph(dec)
     _emit({
@@ -199,6 +197,22 @@ def cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
+def _node_ids(text: str) -> frozenset[int]:
+    """--terminals: comma-separated node ids."""
+    try:
+        return frozenset(int(t) for t in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated ints, got {text!r}") from None
+
+
+def _level_offset(text: str) -> int | str:
+    """--q: "best" or an int level offset."""
+    try:
+        return text if text == "best" else int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected 'best' or an int, got {text!r}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="powertree",
@@ -224,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("component", help="min-power component on a terminal subset")
     p.add_argument("instance")
-    p.add_argument("--terminals", required=True, help="comma-separated terminal ids")
+    p.add_argument("--terminals", type=_node_ids, required=True, help="comma-separated terminal ids")
     p.add_argument("--k", type=int, default=4, choices=range(1, 5))
     p.set_defaults(func=cmd_component)
 
@@ -234,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("degree", "hpow"), required=True)
     p.add_argument("--delta", type=int, default=3)
     p.add_argument("--h", type=int, default=3, choices=range(3, 7))
-    p.add_argument("--q", default="best")
+    p.add_argument("--q", type=_level_offset, default="best")
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("lp", help="solve the component cut LP")

@@ -6,8 +6,9 @@ enumerate candidate branch nodes A (non-terminals of degree >= 3, at most
 every topology edge by a boundary edge on each side joined through a
 boundary-capped min-power path whose interior avoids all topology nodes.
 Realizations whose union contains a cycle are discarded, not repaired.
-The topologies for |Q| = 4 are decoded once per process, per |A|, on the
-first |Q| = 4 query (`_topologies`), and kept as immutable tuples.
+The topologies for |Q| = 4 are the edge sets that `graph.tree_fault`
+accepts, built once per process, per |A|, on the first |Q| = 4 query
+(`_topologies`), and kept as immutable tuples.
 
 Every search adds and compares the instance's scaled int weights. The LP
 columns are one `ColumnSet`, which keeps p_Q as a scaled int per terminal
@@ -20,16 +21,16 @@ kept in a small bounded cache.
 
 from __future__ import annotations
 
-import heapq
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property, lru_cache
-from itertools import combinations, product
+from itertools import combinations
 from math import comb
 
 import numpy as np
 
+from .graph import tree_fault
 from .instance import Instance, edge_set_power
 from .pathpower import capped_state_search
 from .pruning import extract_tree
@@ -51,38 +52,16 @@ class Component:
     power: Fraction
 
 
-def _labeled_trees(size: int, min_degree_from: int):
-    """Yield edge lists (index pairs) of labeled trees on `size` >= 2 nodes
-    where every node index >= min_degree_from has degree >= 3 (Pruefer
-    decoding)."""
-    for seq in product(range(size), repeat=size - 2):
-        degree = [1] * size
-        for s in seq:
-            degree[s] += 1
-        if any(degree[i] < 3 for i in range(min_degree_from, size)):
-            continue
-        deg = list(degree)
-        leaves = [i for i in range(size) if deg[i] == 1]
-        heapq.heapify(leaves)
-        edges = []
-        for s in seq:
-            leaf = heapq.heappop(leaves)
-            edges.append((min(leaf, s), max(leaf, s)))
-            deg[s] -= 1
-            if deg[s] == 1:
-                heapq.heappush(leaves, s)
-        u = heapq.heappop(leaves)
-        v = heapq.heappop(leaves)
-        edges.append((min(u, v), max(u, v)))
-        yield edges
-
-
 @cache
 def _topologies(a_size: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     """The labeled trees on 4 terminals and `a_size` Steiner nodes of degree
-    >= 3, in `_labeled_trees` order: decoded on the first |Q| = 4 query of
-    each size and kept for the process."""
-    return tuple(tuple(t) for t in _labeled_trees(4 + a_size, 4))
+    >= 3, as edge lists of index pairs (Steiner nodes are 4 and up): built
+    on the first |Q| = 4 query of each size and kept for the process."""
+    size = 4 + a_size
+    return tuple(
+        t for t in combinations(combinations(range(size), 2), size - 1)
+        if all(sum(v in e for e in t) >= 3 for v in range(4, size)) and tree_fault(t, range(size)) is None
+    )
 
 
 class _PairRealizer:
@@ -401,14 +380,14 @@ class ColumnSet(Sequence[Component]):
     column set on as many terminals; a column set adds only its sorted
     terminals (`terms`), p_Q per terminal set in the instance's scaled units
     (`powers`; p_Q / `scale` is its cost) and what each tree is built from.
-    Node ids are mapped in only where they are read: per Q, its members in
-    sorted order (`members`) and the frozenset (`sets`); per column, the
-    index of its terminal set (`owner`) and its sink (`sinks`). For the cut
-    rows, `masks` holds Q's terminal bitmask and `sink_bits` the sink's bit,
-    and `bits` gives the i-th smallest terminal bit i. Q's tree is built
-    when a column of Q is first read and then kept for every sink; until
-    then a pair or a |Q| = 4 component keeps its edges and a spider its
-    three legs.
+    Node ids are mapped in only where they are read: Q's members in sorted
+    order (`members`), Q as a frozenset (`terminal_set(i)`) and a column's
+    terminal set index and sink (`column(j)`). Per column, `owner` holds the
+    index of its terminal set; for the cut rows, `masks` holds Q's terminal
+    bitmask and `sink_bits` the sink's bit, and `bits` gives the i-th
+    smallest terminal bit i. Q's tree is built when a column of Q is first
+    read and then kept for every sink; until then a pair or a |Q| = 4
+    component keeps its edges and a spider its three legs.
     """
 
     def __init__(self, instance: Instance, terms: tuple[int, ...], layout: _Layout,
@@ -428,15 +407,6 @@ class ColumnSet(Sequence[Component]):
         terms = self.terms
         return [tuple(terms[a] for a in m) for m in self.layout.members]
 
-    @cached_property
-    def sets(self) -> list[frozenset[int]]:
-        return [frozenset(m) for m in self.members]
-
-    @cached_property
-    def sinks(self) -> list[int]:
-        terms = self.terms
-        return [terms[a] for a in self.layout.sinks]
-
     def mask(self, nodes) -> int:
         """Bitmask of the terminals among `nodes`."""
         bits = self.bits
@@ -447,8 +417,7 @@ class ColumnSet(Sequence[Component]):
         return self.owner[j], self.terms[self.layout.sinks[j]]
 
     def terminal_set(self, i: int) -> frozenset[int]:
-        """Terminal set i, built as `sets[i]` is, so it iterates in the same
-        order."""
+        """Terminal set i as a frozenset of node ids."""
         terms = self.terms
         return frozenset([terms[a] for a in self.layout.members[i]])
 

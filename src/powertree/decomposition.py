@@ -14,7 +14,7 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import ceil
 
-from .graph import chains, connects, rooted_children
+from .graph import chains, rooted_children, tree_fault
 from .trees import CostedTree, TreeError, validate_full_component
 
 EdgeT = tuple[int, int, Fraction]
@@ -230,11 +230,22 @@ def h_power_decompose(tree: CostedTree, h: int, q: int | str = "best") -> Decomp
     Stage 1 is the bounded-degree split with delta = h; parts with more than
     h^h terminals are then level-cut. q = "best" returns the cheapest of the
     h level offsets, which realizes the expectation bound (<= (1 + 14/h) of
-    the tree's power).
+    the tree's power). When no stage-1 part has more than h^h terminals,
+    every offset gives stage 1, and "best" reports offset 0.
     """
     if h < 3:
         raise TreeError(f"h must be >= 3, got {h}")
+    if q != "best":
+        if isinstance(q, bool) or not isinstance(q, int):
+            raise TreeError(f"q must be an int or 'best', got {q!r}")
+        if not 0 <= q < h:
+            raise TreeError(f"q must be in [0, {h - 1}], got {q}")
     stage1 = bounded_degree_decompose(tree, h)
+    most = max(len(part.terminals) for part in stage1.parts)
+    # h^b >= 2^b > most for b = most's bit length, so this decides
+    # most <= h^h exactly without building h^h for a large h
+    if most <= h ** min(h, most.bit_length()):
+        return Decomposition(stage1.parts, tree, stage1.total_power, q=0 if q == "best" else q)
     limit = h**h
 
     def refine(qv: int) -> tuple[tuple[CostedTree, ...], Fraction]:
@@ -254,8 +265,6 @@ def h_power_decompose(tree: CostedTree, h: int, q: int | str = "best") -> Decomp
             if best is None or total < best[2]:
                 best = (qv, parts, total)
         return Decomposition(best[1], tree, best[2], q=best[0])
-    if not isinstance(q, int):
-        raise TreeError(f"q must be an int or 'best', got {q!r}")
     parts, total = refine(q)
     return Decomposition(parts, tree, total, q=q)
 
@@ -271,8 +280,5 @@ def component_graph(decomposition: Decomposition) -> ComponentGraph:
     n_nodes = len(decomposition.parts) + len(terminals)
     # parts are nodes 0..P-1 of the bipartite graph, terminals follow
     index = {t: len(decomposition.parts) + j for j, t in enumerate(sorted(terminals))}
-    is_tree = (
-        bool(edges) and len(edges) == n_nodes - 1
-        and connects(n_nodes, ((i, index[t]) for i, t in edges), range(n_nodes))
-    )
+    is_tree = bool(edges) and tree_fault([(i, index[t]) for i, t in edges], range(n_nodes)) is None
     return ComponentGraph(len(decomposition.parts), tuple(sorted(terminals)), tuple(edges), is_tree)

@@ -272,6 +272,18 @@ def test_cli_k_out_of_range_exits_2(argv, capsys):
     assert "--k: invalid choice" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["decompose", "x.mpst", "--tree", "t.txt", "--mode", "hpow", "--q", "abc"], "--q"),
+    (["component", "x.mpst", "--terminals", "1,x"], "--terminals"),
+    (["component", "x.mpst", "--terminals", "0,,1"], "--terminals"),
+])
+def test_cli_malformed_value_exits_2(argv, flag, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert f"argument {flag}: expected" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("algo", ["exact", "mst", "steiner-cost"])
 def test_cli_trace_without_irr_exits_2(algo, tmp_path, capsys):
     out = tmp_path / "run.jsonl"
@@ -387,6 +399,11 @@ def test_cli_decompose_and_analyze(tmp_path, capsys):
                  "--delta", "3"]) == 0
     record = json.loads(capsys.readouterr().out)
     assert record["bound_holds"] and record["component_graph_is_tree"]
+    assert main(["decompose", str(ipath), "--tree", str(tpath), "--mode", "hpow", "--q", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["q"] == 1
+    # a well-formed q outside [0, h-1] is a runtime error, like --delta 2
+    assert main(["decompose", str(ipath), "--tree", str(tpath), "--mode", "hpow", "--q", "3"]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "q must be in [0, 2], got 3"
     assert main(["analyze", "classify", str(ipath), "--tree", str(tpath)]) == 0
     record = json.loads(capsys.readouterr().out)
     assert "alpha" in record

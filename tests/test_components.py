@@ -312,7 +312,7 @@ def test_columns_index_as_a_list():
     cols = enumerate_columns(inst, 3)
     last = cols[len(cols) - 1]
     i, sink = cols.column(-1)
-    assert (cols.sets[i], sink) == (last.terminal_set, last.sink)
+    assert (cols.terminal_set(i), sink) == (last.terminal_set, last.sink)
     assert cols[-1] == last and cols[-len(cols)] == cols[0]
     with pytest.raises(IndexError):
         cols[len(cols)]
@@ -333,31 +333,26 @@ def test_irr_builds_at_most_one_tree_per_iteration(monkeypatch):
     assert 0 < len(calls) <= iterations
 
 
-def test_topologies_decoded_once_per_process(monkeypatch):
-    # the labeled trees depend only on |A|: |A| = 0, 1, 2 decode once each,
-    # however many instances and 4-sets ask for them
-    calls: list[tuple[int, int]] = []
-    real = components_module._labeled_trees
-
-    def counted(size, min_degree_from):
-        calls.append((size, min_degree_from))
-        return real(size, min_degree_from)
-
-    monkeypatch.setattr(components_module, "_labeled_trees", counted)
+def test_topologies_decoded_once_per_process():
+    # the labeled trees depend only on |A|: |A| = 0, 1, 2 are built once
+    # each, however many instances and 4-sets ask for them
     components_module._topologies.cache_clear()
     first = generate("uniform-random", 8, 4, 18_400, edge_prob=0.3)
     second = generate("uniform-random", 9, 5, 77, edge_prob=0.4)
     min_power_component(first, first.terminals, 4)
-    assert calls == [(4, 4), (5, 4), (6, 4)]
+    assert components_module._topologies.cache_info().misses == 3
     for subset in list(combinations(sorted(second.terminals), 4))[:2]:
         min_power_component(second, subset, 4)
-    assert calls == [(4, 4), (5, 4), (6, 4)]
+    info = components_module._topologies.cache_info()
+    assert (info.misses, info.currsize) == (3, 3) and info.hits > 0
 
 
 def test_topology_table_matches_reference():
-    # 16, 13 and 6 topologies for |A| = 0, 1, 2, in Pruefer decode order
+    # 16, 13 and 6 topologies for |A| = 0, 1, 2: the Pruefer-decoded trees
+    # of the reference, as edge sets
     for a_size, count in enumerate((16, 13, 6)):
         table = components_module._topologies(a_size)
-        assert table == tuple(tuple(t) for t in _labeled_trees_reference(4 + a_size, 4))
+        reference = {frozenset(t) for t in _labeled_trees_reference(4 + a_size, 4)}
+        assert {frozenset(t) for t in table} == reference
         assert len(table) == count
         assert all(type(t) is tuple and all(type(e) is tuple for e in t) for t in table)

@@ -272,6 +272,32 @@ def test_h_guard():
         h_power_decompose(fig2_tree(), 2)
 
 
+@pytest.mark.parametrize("q, message", [
+    (7, r"q must be in \[0, 2\], got 7"),
+    (-2, r"q must be in \[0, 2\], got -2"),
+    (True, "q must be an int or 'best', got True"),
+    ("x", "q must be an int or 'best', got 'x'"),
+])
+def test_h_power_checks_q(q, message):
+    # checked up front, though no part here is big enough to be level-cut
+    tree = random_full_component(5, terminal_count=8)
+    with pytest.raises(TreeError, match=message):
+        h_power_decompose(tree, 3, q)
+    with pytest.raises(TreeError, match="h must"):
+        h_power_decompose(tree, 2, q)
+
+
+def test_h_power_without_level_cut_is_stage_one():
+    # no stage-1 part has more than h^h terminals: every offset gives stage
+    # 1 and "best" reports offset 0, also at an h whose h^h is never built
+    tree = random_full_component(5, terminal_count=8)
+    for h in (3, 10**5):
+        stage1 = bounded_degree_decompose(tree, h)
+        dec = h_power_decompose(tree, h, "best")
+        assert (dec.parts, dec.total_power, dec.q) == (stage1.parts, stage1.total_power, 0)
+        assert h_power_decompose(tree, h, 2).q == 2
+
+
 # ---------------------------------------------------------------------------
 # component graph
 

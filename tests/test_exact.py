@@ -1,10 +1,13 @@
 import random
 import re
+import shlex
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
+from powertree.bench import parse_config
+from powertree.cli import build_parser
 from powertree.exact import SolverError, _dreyfus_wagner, baseline_min_cost, exact_min_power
 from powertree.generators import GENERATOR_KINDS, generate
 from powertree.graph import connects, incidence
@@ -106,6 +109,22 @@ def test_readme_library_sketch(tmp_path, monkeypatch):
     (tmp_path / "x.mpst").write_text(serialize(generate("two-level", 6, 4, 504)))
     monkeypatch.chdir(tmp_path)
     exec(compile(code, "README.md", "exec"), {})
+
+
+def test_readme_examples_parse():
+    # a renamed flag or key fails here instead of leaving the README stale
+    text = README.read_text()
+    cli_block = re.search(r"## CLI\n.*?```sh\n(.*?)```", text, re.S).group(1)
+    lines = [line for line in cli_block.splitlines() if line.startswith("powertree ")]
+    assert len(lines) == 13
+    parser = build_parser()
+    for line in lines:
+        parser.parse_args(shlex.split(line, comments=True)[1:])
+    instance = re.search(r"### Instance files\n.*?```\n(.*?)```", text, re.S).group(1)
+    assert parse_instance(instance).terminals == {0, 3}
+    suite = re.search(r"### Benchmark suites\n.*?```\n(.*?)```", text, re.S).group(1)
+    cfg = parse_config(suite)
+    assert len(cfg.instances) == 2 and len(cfg.solvers) == 3
 
 
 def test_matches_reference():

@@ -155,6 +155,23 @@ def test_mean_ratio_close_to_optimal():
     assert sum(ratios) / len(ratios) <= 1.55
 
 
+@pytest.mark.parametrize("n, t", [(10, 6), (12, 8)])
+def test_steiner_rounding_runs_and_stays_bounded(n, t):
+    # |R| > k, so a solve samples and rounds over several iterations
+    ratios, multi = [], 0
+    for s in range(40):
+        inst = generate("uniform-random", n, t, 30_000 + s, edge_prob=0.3)
+        tree, trace = irr_solve(inst, 3, seed=s)
+        exact = exact_min_power(inst, "steiner").total_power
+        assert set(tree.node_powers) >= inst.terminals, s
+        assert tree.total_cost <= tree.total_power <= 2 * tree.total_cost, s
+        assert exact <= tree.total_power <= trace.sampled_power_total(), s
+        ratios.append(float(tree.total_power / exact))
+        multi += trace.iterations > 1
+    assert sum(ratios) / len(ratios) <= 1.95  # acceptance criterion 8's bound
+    assert multi > len(ratios) / 2
+
+
 def test_loop_matches_reference(monkeypatch):
     # the loop redraws from the same LP while a draw zeroes nothing; every
     # record, every tree and the IrrError of a cap must match the loop that
