@@ -16,7 +16,8 @@ set; a power becomes a Fraction only in a `Component` read from it.
 `Instance` rejects disconnected terminals, so every terminal set connects
 and the columns depend only on |R| and k: their structure is one `_Layout`
 per (|R|, k), built on the first `enumerate_columns` call that needs it and
-kept in a small bounded cache.
+kept in a small bounded cache. The layout works in terminal-index space and
+holds the LP's one cut-row rule, on terminal bitmasks.
 """
 
 from __future__ import annotations
@@ -331,9 +332,8 @@ def _component_four(instance: Instance, q_nodes: tuple[int, ...]) -> tuple[int, 
 _LAYOUTS = 8
 
 
-@dataclass(frozen=True, eq=False)
 class _Layout:
-    """The columns (Q, s) with 2 <= |Q| <= k on |R| terminals, in
+    """The columns (Q, s) with 2 <= |Q| <= k on `r` terminals, in
     terminal-index space: terminal a is the a-th smallest terminal.
 
     `members` holds each terminal set's indices in ascending order: the
@@ -341,63 +341,50 @@ class _Layout:
     The columns of a set are consecutive, one per member as the sink. Per
     column, `owner` holds the index of its set, `sinks` the sink's index,
     `masks` the set's bitmask (bit a for terminal a) and `sink_bits` the
-    sink's bit. `singletons[a]` lists the columns of the cut row for
-    terminal a alone: the sets that hold a, with a sink other than a.
+    sink's bit. `support(w)` is the cut row for the terminals in bitmask w,
+    and `singletons[a]` the row for terminal a alone, as the index array
+    the LP's block start takes.
     """
 
-    members: tuple[tuple[int, ...], ...]
-    owner: tuple[int, ...]
-    sinks: tuple[int, ...]
-    masks: tuple[int, ...]
-    sink_bits: tuple[int, ...]
-    singletons: tuple[np.ndarray, ...]
+    def __init__(self, r: int, k: int):
+        self.members = tuple(m for size in range(2, k + 1) for m in combinations(range(r), size))
+        self.owner = tuple(i for i, m in enumerate(self.members) for _ in m)
+        self.sinks = tuple(a for m in self.members for a in m)
+        self.masks = tuple(sum(1 << a for a in m) for m in self.members for _ in m)
+        self.sink_bits = tuple(1 << a for a in self.sinks)
+        self.singletons = tuple(np.array(self.support(1 << a), dtype=np.intp) for a in range(r))
+
+    def support(self, w: int) -> list[int]:
+        """The columns of the cut row for terminal bitmask w: Q meets w and
+        the sink lies outside it."""
+        return [j for j, mask, sink in zip(range(len(self.masks)), self.masks, self.sink_bits)
+                if mask & w and not sink & w]
 
 
-@lru_cache(maxsize=_LAYOUTS)
-def _layout(r: int, k: int) -> _Layout:
-    """The column layout for `r` terminals and k, built on first use."""
-    members = [m for size in range(2, k + 1) for m in combinations(range(r), size)]
-    owner: list[int] = []
-    sinks: list[int] = []
-    masks: list[int] = []
-    singletons: list[list[int]] = [[] for _ in range(r)]
-    for i, m in enumerate(members):
-        start = len(owner)
-        owner += [i] * len(m)
-        sinks += m
-        masks += [sum(1 << a for a in m)] * len(m)
-        for a in m:
-            singletons[a] += [start + s for s, b in enumerate(m) if b != a]
-    sink_bits = [1 << a for a in sinks]
-    return _Layout(tuple(members), tuple(owner), tuple(sinks), tuple(masks), tuple(sink_bits),
-                   tuple(np.array(support, dtype=np.intp) for support in singletons))
+# the column layout for `r` terminals and k, built on first use
+_layout = lru_cache(maxsize=_LAYOUTS)(_Layout)
 
 
 class ColumnSet(Sequence[Component]):
     """The LP columns (Q, s) with 2 <= |Q| <= k, held once per terminal set Q.
 
-    The column structure is the `_Layout` for |R| and k, shared by every
-    column set on as many terminals; a column set adds only its sorted
-    terminals (`terms`), p_Q per terminal set in the instance's scaled units
-    (`powers`; p_Q / `scale` is its cost) and what each tree is built from.
-    Node ids are mapped in only where they are read: Q's members in sorted
-    order (`members`), Q as a frozenset (`terminal_set(i)`) and a column's
-    terminal set index and sink (`column(j)`). Per column, `owner` holds the
-    index of its terminal set; for the cut rows, `masks` holds Q's terminal
-    bitmask and `sink_bits` the sink's bit, and `bits` gives the i-th
-    smallest terminal bit i. Q's tree is built when a column of Q is first
-    read and then kept for every sink; until then a pair or a |Q| = 4
-    component keeps its edges and a spider its three legs.
+    The column structure, and with it every cut row, is the `_Layout` for
+    |R| and k (`layout`), shared by every column set on as many terminals; a
+    column set adds only its sorted terminals (`terms`), p_Q per terminal
+    set in the instance's scaled units (`powers`; p_Q / `instance.scale` is
+    its cost) and what each tree is built from. Node ids are mapped in only
+    where they are read: Q's members in sorted order (`members`), Q as a
+    frozenset (`terminal_set(i)`) and a column's terminal set index and sink
+    (`column(j)`). Q's tree is built when a column of Q is first read and
+    then kept for every sink; until then a pair or a |Q| = 4 component keeps
+    its edges and a spider its three legs.
     """
 
     def __init__(self, instance: Instance, terms: tuple[int, ...], layout: _Layout,
                  powers: list[int], legs: list[tuple[tuple[int, ...], ...]]):
         self.instance = instance
-        self.scale = instance.scale
         self.terms = terms
         self.layout = layout
-        self.owner, self.masks, self.sink_bits = layout.owner, layout.masks, layout.sink_bits
-        self.bits = {t: 1 << a for a, t in enumerate(terms)}
         self.powers = powers
         self._legs = legs
         self._trees: dict[int, tuple[int, ...]] = {}
@@ -407,14 +394,10 @@ class ColumnSet(Sequence[Component]):
         terms = self.terms
         return [tuple(terms[a] for a in m) for m in self.layout.members]
 
-    def mask(self, nodes) -> int:
-        """Bitmask of the terminals among `nodes`."""
-        bits = self.bits
-        return sum(bits[t] for t in nodes if t in bits)
-
     def column(self, j: int) -> tuple[int, int]:
         """Column j as (index of its terminal set, sink)."""
-        return self.owner[j], self.terms[self.layout.sinks[j]]
+        layout = self.layout
+        return layout.owner[j], self.terms[layout.sinks[j]]
 
     def terminal_set(self, i: int) -> frozenset[int]:
         """Terminal set i as a frozenset of node ids."""
@@ -429,12 +412,12 @@ class ColumnSet(Sequence[Component]):
         return tree
 
     def __len__(self) -> int:
-        return len(self.owner)
+        return len(self.layout.owner)
 
     def __getitem__(self, j: int) -> Component:
         """Column j as a `Component`, its tree built if Q's is not yet."""
         i, sink = self.column(j)
-        return Component(self.terminal_set(i), sink, self.tree(i), Fraction(self.powers[i], self.scale))
+        return Component(self.terminal_set(i), sink, self.tree(i), Fraction(self.powers[i], self.instance.scale))
 
 
 def enumerate_columns(instance: Instance, k: int) -> ColumnSet:

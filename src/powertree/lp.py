@@ -39,13 +39,14 @@ class LpState:
         return sum(self.x.values())
 
 
+def _check_tol(tol: float) -> None:
+    if not (0 < tol <= 1e-4):
+        raise LpError(f"tol must be in (0, 1e-4], got {tol}")
+
+
 def row_support(columns: ColumnSet, cut: frozenset[int]) -> list[int]:
-    """Column indices entering the cut row for W: sink outside W, Q meets W."""
-    w = columns.mask(cut)
-    return [
-        j for j, mask, sink in zip(range(len(columns)), columns.masks, columns.sink_bits)
-        if mask & w and not sink & w
-    ]
+    """The layout's cut row for W's terminal bitmask: Q meets W, sink outside W."""
+    return columns.layout.support(sum(1 << a for a, t in enumerate(columns.terms) if t in cut))
 
 
 class _DualSimplex:
@@ -238,39 +239,38 @@ def separate(
     with infinite-capacity arcs from each q in Q - {s} and an arc of
     capacity x_{Q,s} into s (a massless column's gadget would only be a
     dead end, so it is left out); terminal t is separated iff its max flow
-    to the root falls below 1 - tol. Returns the terminal side of the min
-    cut intersected with the terminal set.
+    to the root falls below 1 - tol. The digraph's nodes are terminal
+    indices, then the gadgets in column order; a gadget's arcs from Q come in
+    ascending terminal order, which fixes the order the augmenting-path
+    search tries them in. Returns the terminal side of the min cut
+    intersected with the terminal set.
     """
-    terms = columns.terms
-    index = {t: a for a, t in enumerate(terms)}
+    _check_tol(tol)
+    terms, layout = columns.terms, columns.layout
+    members, owner, sinks = layout.members, layout.owner, layout.sinks
     live = [j for j in sorted(x) if x[j] > 0.0]
     net = _FlowNet(len(terms) + len(live))
     inf = sum(x.values()) + 1.0
-    owner, sinks = columns.layout.owner, columns.layout.sinks
     for gadget, j in enumerate(live, len(terms)):
         sink = sinks[j]
         net.add(gadget, sink, x[j])
-        # add the arcs in the order Q's frozenset of node ids iterates: it
-        # fixes the order in which the augmenting-path search tries them
-        for q in columns.terminal_set(owner[j]):
-            a = index[q]
+        for a in members[owner[j]]:
             if a != sink:
                 net.add(a, gadget, inf)
     cap0 = list(net.cap)
 
-    root = index[instance.root]
-    worst: tuple[float, int, set[int]] | None = None
-    for t in terms:
-        if t == instance.root:
+    root = terms.index(instance.root)
+    worst: tuple[float, set[int]] | None = None
+    for a in range(len(terms)):
+        if a == root:
             continue
         # a terminal whose flow reaches 1 - tol is not violated: stop there
-        flow = net.max_flow(index[t], root, cap0, 1.0 - tol)
+        flow = net.max_flow(a, root, cap0, 1.0 - tol)
         if flow < 1.0 - tol and (worst is None or flow < worst[0]):
-            worst = (flow, t, net.reachable(index[t]))
+            worst = (flow, net.reachable(a))
     if worst is None:
         return None
-    reachable = worst[2]
-    return frozenset(t for t in terms if index[t] in reachable)
+    return frozenset(t for a, t in enumerate(terms) if a in worst[1])
 
 
 def solve_lp(
@@ -284,8 +284,7 @@ def solve_lp(
     alternates LP solves with the separation oracle, and stops when no violated cut remains, so the
     returned x is feasible for all 2^(|R|-1)-1 rows within tol.
     """
-    if not (0 < tol <= 1e-4):
-        raise LpError(f"tol must be in (0, 1e-4], got {tol}")
+    _check_tol(tol)
     terms = sorted(instance.terminals)
     others = [t for t in terms if t != instance.root]
     rows: list[frozenset[int]] = [frozenset({t}) for t in others]
@@ -295,7 +294,7 @@ def solve_lp(
     if not columns:
         raise LpError(f"infeasible: terminal {others[0]} has no covering column")
     # int true division rounds correctly, so each price is float(p_Q)
-    scale = columns.scale
+    scale = columns.instance.scale
     set_prices = [power / scale for power in columns.powers]
     layout = columns.layout
     singletons = [support for a, support in enumerate(layout.singletons) if terms[a] != instance.root]

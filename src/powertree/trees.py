@@ -65,6 +65,9 @@ class CostedTree:
 
     @staticmethod
     def from_instance(instance: Instance, edge_ids: Sequence[int]) -> "CostedTree":
+        bad = [e for e in edge_ids if not 0 <= e < len(instance.edges)]
+        if bad:
+            raise TreeError(f"edge id {bad[0]} outside [0, {len(instance.edges)})")
         tree = CostedTree.induced([instance.edges[e] for e in edge_ids], instance.terminals)
         return tree if tree.terminals else CostedTree(tree.edges, frozenset(instance.terminals))
 

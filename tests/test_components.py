@@ -297,13 +297,13 @@ def test_trees_built_on_first_read(monkeypatch):
     spiders = [i for i, members in enumerate(cols.members) if len(members) == 3]
     assert len(spiders) == 20
     for i in spiders:
-        start = cols.owner.index(i)
+        start = cols.layout.owner.index(i)
         before = len(calls)
         first, second = cols[start], cols[start + 1]
         assert len(calls) == before + 1
         assert (first.sink, second.sink) == cols.members[i][:2]
         assert first.edges == second.edges and first.power == second.power
-    pairs = [cols[cols.owner.index(i)] for i, members in enumerate(cols.members) if len(members) == 2]
+    pairs = [cols[cols.layout.owner.index(i)] for i, members in enumerate(cols.members) if len(members) == 2]
     assert len(pairs) == 15 and len(calls) == 20
 
 

@@ -14,6 +14,7 @@ from powertree.decomposition import (
     level_cut_parts,
 )
 from powertree.cli import main
+from powertree.instance import parse_instance
 from powertree.trees import CostedTree, TreeError, random_full_component
 
 from oracles import bounded_degree_decompose_reference
@@ -140,6 +141,29 @@ def test_requires_full_component():
         bounded_degree_decompose(
             CostedTree(((0, 1, F(1)), (1, 2, F(1))), frozenset({0, 1, 2})), 3
         )
+
+
+@pytest.mark.parametrize("bad", [-1, 3, 7])
+def test_tree_edge_ids_outside_range_are_rejected(bad):
+    inst = parse_instance("nodes 4\nedge 0 1 1\nedge 1 2 2\nedge 2 3 3\nterminals 0 3\nroot 0\n")
+    assert CostedTree.from_instance(inst, [0, 1, 2]).terminals == {0, 3}
+    with pytest.raises(TreeError, match=rf"edge id {bad} outside \[0, 3\)"):
+        CostedTree.from_instance(inst, [0, bad])
+
+
+@pytest.mark.parametrize("command, options", [
+    (["analyze", "classify"], []),
+    (["decompose"], ["--mode", "degree", "--delta", "3"]),
+])
+@pytest.mark.parametrize("ids, bad", [("-1 -2", -1), ("0 1 3", 3)])
+def test_cli_tree_edge_ids_outside_range_exit_1(tmp_path, capsys, command, options, ids, bad):
+    ipath = tmp_path / "x.mpst"
+    ipath.write_text("nodes 4\nedge 0 1 1\nedge 1 2 2\nedge 2 3 3\nterminals 0 3\nroot 0\n")
+    tpath = tmp_path / "t.txt"
+    tpath.write_text(ids)
+    assert main(command + [str(ipath), "--tree", str(tpath)] + options) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": f"edge id {bad} outside [0, 3)", "type": "TreeError"}
 
 
 def test_empty_tree_is_tree_error():

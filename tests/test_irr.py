@@ -209,6 +209,7 @@ def test_loop_matches_reference(monkeypatch):
                         calls = 0
                         tree, trace = irr_solve(inst, k, s, max_iters=cap)
                         assert tree == want[0] and tree.to_record() == want[0].to_record()
+                        assert tree.total_power <= trace.sampled_power_total(), (kind, mode, k, s, cap)
                         records = [r.to_record() for r in trace.records]
                         assert records == [r.to_record() for r in want[1].records], (kind, mode, k, s, cap)
                         changed = sum(r.new_zero_edges > 0 for r in trace.records[:-1])

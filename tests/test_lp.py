@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import numpy as np
@@ -6,10 +7,13 @@ import pytest
 
 from powertree.bench import with_mode
 from powertree.components import enumerate_columns
+from powertree.decomposition import attach_dummy_leaves, bounded_degree_decompose, component_graph
 from powertree.exact import exact_min_power
 from powertree.generators import GENERATOR_KINDS, generate
-from powertree.instance import parse_instance
+from powertree.instance import Instance, parse_instance
+from powertree.irr import irr_solve
 from powertree.lp import LpError, _DualSimplex, _FlowNet, lp_core_solve, row_support, separate, solve_lp
+from powertree.trees import CostedTree
 from oracles import DualSimplexReference, all_cut_rows, lp_vertex_enumeration
 
 
@@ -109,6 +113,18 @@ def test_separate_agrees_with_exhaustive_rows():
             tot = sum(x.get(j, 0.0) for j in row_support(cols, got))
             assert tot < 1 - 1e-7
             assert tot == pytest.approx(worst, abs=1e-9)
+
+
+@pytest.mark.parametrize("tol", [2.0, float("nan"), 0.0, -1e-7])
+def test_tol_outside_range_is_rejected(tol):
+    inst = generate("uniform-random", 5, 3, 9100, edge_prob=0.5)
+    cols = enumerate_columns(inst, 2)
+    message = rf"tol must be in \(0, 1e-4\], got {tol}"
+    with pytest.raises(LpError, match=message):
+        separate(inst, cols, {}, tol)
+    with pytest.raises(LpError, match=message):
+        solve_lp(inst, cols, tol)
+    assert separate(inst, cols, {}, 1e-7) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -315,3 +331,77 @@ def test_infeasible_without_columns():
     inst = parse_instance("nodes 2\nedge 0 1 3\nterminals 0 1\nroot 0\n")
     with pytest.raises(LpError, match="no covering column"):
         solve_lp(inst, [])
+
+
+def shifted(inst: Instance, shift: int) -> Instance:
+    """`inst` with every node id raised by `shift`, isolated nodes below."""
+    return Instance(inst.node_count + shift, tuple((u + shift, v + shift, c) for u, v, c in inst.edges),
+                    frozenset(t + shift for t in inst.terminals), inst.root + shift)
+
+
+def unshifted(record, shift: int):
+    """An IRR trace record of a `shifted` instance in the original node ids."""
+    if record.sampled_terminals is None:
+        return record
+    return replace(record, sampled_terminals=tuple(t - shift for t in record.sampled_terminals),
+                   sampled_sink=record.sampled_sink - shift)
+
+
+def test_results_do_not_depend_on_node_id_values():
+    # past 8, a small frozenset of node ids no longer iterates in ascending
+    # order; the LP and IRR must see only the terminals' order
+    cases = unordered = 0
+    for kind in GENERATOR_KINDS:
+        for mode in ("steiner", "spanning"):
+            for s in range(5):
+                nodes = 3 + s % 2 if kind == "reduction-wrapped" else 5 + s % 3
+                inst = with_mode(generate(kind, nodes, 3 + s % 2, 34_000 + s, edge_prob=0.5, cost_max=5), mode)
+                for k in (2, 3):
+                    want = solve_lp(inst, enumerate_columns(inst, k))
+                    want_tree, want_trace = irr_solve(inst, k, s)
+                    for shift in (8, 13):
+                        moved = shifted(inst, shift)
+                        cols = enumerate_columns(moved, k)
+                        unordered += sum(list(cols.terminal_set(i)) != sorted(cols.terminal_set(i))
+                                         for i in range(len(cols.members)))
+                        got = solve_lp(moved, cols)
+                        assert [frozenset(t - shift for t in w) for w in got.rows] == want.rows, (kind, mode, s, k)
+                        assert list(got.x.items()) == list(want.x.items()), (kind, mode, s, k)
+                        assert got.objective_history == want.objective_history, (kind, mode, s, k)
+                        tree, trace = irr_solve(moved, k, s)
+                        assert tree.edges == want_tree.edges, (kind, mode, s, k)
+                        assert [unshifted(r, shift) for r in trace.records] == want_trace.records, \
+                            (kind, mode, s, k)
+                        cases += 1
+    assert cases == 4 * 2 * 5 * 2 * 2 and unordered > 0
+
+
+def test_lp_at_most_a_decomposition_of_the_optimum():
+    # each part of a decomposition of the optimum maps back to a connected
+    # subgraph on its terminals, so its power is at least p_Q; orienting the
+    # component graph's tree toward the root's part gives each part a sink,
+    # and those columns cover every cut row: LP(k) <= total_power whenever
+    # every part has at most k terminals
+    compared = {k: 0 for k in (3, 4)}
+    kinds = set()
+    for kind in GENERATOR_KINDS:
+        for mode in ("steiner", "spanning"):
+            for s in range(8):
+                # a reduction triples each edge: 4 nodes on a tree reduce to 10
+                nodes, prob = (4, 0.0) if kind == "reduction-wrapped" else (6 + s % 2, 0.4)
+                base = generate(kind, nodes, min(3 + s % 4, nodes), 31_000 + s, edge_prob=prob, cost_max=5)
+                inst = with_mode(base, mode)
+                assert inst.node_count <= 12
+                tree = attach_dummy_leaves(CostedTree.from_instance(inst, exact_min_power(inst, mode).edges))
+                for delta in (3, 4):
+                    dec = bounded_degree_decompose(tree, delta)
+                    if not component_graph(dec).is_tree:
+                        continue
+                    most = max(len(part.terminals) for part in dec.parts)
+                    for k in (3, 4):
+                        if most <= k:
+                            lp = solve_lp(inst, enumerate_columns(inst, k)).objective
+                            assert lp <= float(dec.total_power) * (1 + 1e-9), (kind, mode, s, delta, k)
+                            compared[k] += 1
+                            kinds.add(kind)
+    assert sum(compared.values()) >= 60 and min(compared.values()) > 0 and kinds == set(GENERATOR_KINDS)

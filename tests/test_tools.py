@@ -1,6 +1,7 @@
 """Checks of the scripts under tools/ that need no benchmark run."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -74,3 +75,47 @@ def test_pairs_must_be_positive(capsys):
         bench_pairs.main(["0", "--pairs", "0"])
     assert exit_info.value.code == 2
     assert "--pairs must be >= 1" in capsys.readouterr().err
+
+
+dump_results = load_script("dump_results")
+
+
+def write_dump(path, records) -> str:
+    path.write_text("".join(json.dumps({"kind": kind, "key": key, "value": value}) + "\n"
+                            for kind, key, value in records))
+    return str(path)
+
+
+BASE_DUMP = [("irr", ["a", 1], [1, "5/2"]), ("irr", ["a", 2], 3), ("lp", 0, [0.5]), ("pair", 7, None)]
+
+
+def test_compare_identical_dumps(tmp_path, capsys):
+    base = write_dump(tmp_path / "base.jsonl", BASE_DUMP)
+    # record order in the file does not matter: records match by (kind, key)
+    new = write_dump(tmp_path / "new.jsonl", BASE_DUMP[::-1])
+    assert dump_results.compare(base, new) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "irr: 2 records, 0 changed, 0 missing, 0 added",
+        "lp: 1 records, 0 changed, 0 missing, 0 added",
+        "pair: 1 records, 0 changed, 0 missing, 0 added",
+    ]
+
+
+def test_compare_reports_changed_missing_and_added(tmp_path, capsys):
+    base = write_dump(tmp_path / "base.jsonl", BASE_DUMP)
+    new = write_dump(tmp_path / "new.jsonl", [
+        ("irr", ["a", 1], [1, "5/3"]), ("irr", ["a", 2], 3.0), ("lp", 1, [0.5]), ("rows", 0, 1),
+    ])
+    assert dump_results.compare(base, new) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        'irr: 2 records, 2 changed, 0 missing, 0 added; first changed key ["a", 1]',
+        "lp: 1 records, 0 changed, 1 missing, 1 added",
+        "pair: 1 records, 0 changed, 1 missing, 0 added",
+        "rows: 0 records, 0 changed, 0 missing, 1 added",
+    ]
+
+
+def test_compare_rejects_duplicate_keys(tmp_path):
+    base = write_dump(tmp_path / "base.jsonl", BASE_DUMP + [("lp", 0, [0.25])])
+    with pytest.raises(SystemExit, match="base.jsonl:5: duplicate lp record 0"):
+        dump_results.compare(base, base)

@@ -2,11 +2,14 @@
 line per result, to show that a refactor changes no result.
 
 usage: python tools/dump_results.py SRC_DIR > results.jsonl
+       python tools/dump_results.py --compare BASE.jsonl NEW.jsonl
 
 SRC_DIR is the `src` directory of the checkout to import `powertree` from.
-Dump two checkouts and compare the files (`cmp`, or `diff` to see which
-records differ). Only public behaviour is recorded, so the two checkouts may
-differ in anything else. A tree is recorded as its edge ids, total power,
+Dump two checkouts and compare the files with --compare: it matches records
+by (kind, key), prints per kind how many changed, went missing or were
+added, and the first changed key, and exits 0 only when nothing differs.
+Only public behaviour is recorded, so the two checkouts may differ in
+anything else. A tree is recorded as its edge ids, total power,
 total cost and node powers. Records:
 
   irr        irr_solve tree and full trace: 80 solves on each perfbench irr
@@ -352,7 +355,38 @@ def main(src: str) -> None:
     analysis_records()
 
 
+def load(path: str) -> dict[str, dict[str, str]]:
+    """A dump's values by kind and key, key and value as JSON text, in file
+    order."""
+    kinds: dict[str, dict[str, str]] = {}
+    with open(path, encoding="utf-8") as fh:
+        for number, line in enumerate(fh, 1):
+            record = json.loads(line)
+            records = kinds.setdefault(record["kind"], {})
+            key = json.dumps(record["key"], sort_keys=True)
+            if key in records:
+                sys.exit(f"{path}:{number}: duplicate {record['kind']} record {key}")
+            records[key] = json.dumps(record["value"], sort_keys=True)
+    return kinds
+
+
+def compare(base_path: str, new_path: str) -> int:
+    """Print each kind's changed, missing and added records; 0 if none."""
+    base, new = load(base_path), load(new_path)
+    differs = False
+    for kind in sorted(base.keys() | new.keys()):
+        old, cur = base.get(kind, {}), new.get(kind, {})
+        changed = [key for key, value in old.items() if cur.get(key, value) != value]
+        missing, added = len(old.keys() - cur.keys()), len(cur.keys() - old.keys())
+        print(f"{kind}: {len(old)} records, {len(changed)} changed, {missing} missing, {added} added"
+              + (f"; first changed key {changed[0]}" if changed else ""))
+        differs = differs or bool(changed or missing or added)
+    return int(differs)
+
+
 if __name__ == "__main__":
+    if len(sys.argv) == 4 and sys.argv[1] == "--compare":
+        sys.exit(compare(sys.argv[2], sys.argv[3]))
     if len(sys.argv) != 2:
         sys.exit(__doc__)
     main(sys.argv[1])
